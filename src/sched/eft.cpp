@@ -16,15 +16,6 @@ thread_local std::size_t probes_issued = 0;
 
 std::size_t probe_count() { return probes_issued; }
 
-bool better_placement(const PlacementEstimate& a, const HostCandidate& ha,
-                      const PlacementEstimate& b, const HostCandidate& hb) {
-  if (a.eft != b.eft) return a.eft < b.eft;
-  if (a.cost != b.cost) return a.cost < b.cost;
-  if (ha.fresh != hb.fresh) return !ha.fresh;  // prefer reusing a VM
-  if (ha.fresh) return ha.category < hb.category;
-  return ha.vm < hb.vm;
-}
-
 EftState::EftState(const dag::Workflow& wf, const platform::Platform& platform)
     : wf_(wf),
       platform_(platform),

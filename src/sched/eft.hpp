@@ -78,9 +78,16 @@ struct PlacementEstimate {
 
 /// Deterministic "better host" ordering used by every list scheduler:
 /// smaller EFT first, then cheaper, then used-before-fresh, then smaller
-/// vm/category id.  Returns true when `a` beats `b`.
-[[nodiscard]] bool better_placement(const PlacementEstimate& a, const HostCandidate& ha,
-                                    const PlacementEstimate& b, const HostCandidate& hb);
+/// vm/category id.  Returns true when `a` beats `b`.  Inline: MIN-MIN's
+/// tournament trees (best_host.hpp) call it on every path repair.
+[[nodiscard]] inline bool better_placement(const PlacementEstimate& a, const HostCandidate& ha,
+                                           const PlacementEstimate& b, const HostCandidate& hb) {
+  if (a.eft != b.eft) return a.eft < b.eft;
+  if (a.cost != b.cost) return a.cost < b.cost;
+  if (ha.fresh != hb.fresh) return !ha.fresh;  // prefer reusing a VM
+  if (ha.fresh) return ha.category < hb.category;
+  return ha.vm < hb.vm;
+}
 
 /// Total placement probes (estimate() calls) issued on this thread since
 /// process start.  Monotone; bench_sched reads deltas around one plan call
