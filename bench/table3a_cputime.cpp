@@ -63,15 +63,15 @@ void schedule_once(benchmark::State& state, const std::string& algorithm,
 
 void register_all() {
   // The refined variants are orders of magnitude slower (that is the point
-  // of Table III); give them fewer default iterations via MinTime.
-  for (const std::string& algorithm : sched::algorithm_names()) {
-    const bool heavy = algorithm.find("plus") != std::string::npos;
+  // of Table III); give them a single iteration.
+  for (const sched::SchedulerInfo& info : sched::scheduler_registry()) {
+    const std::string algorithm(info.name);
     for (const std::string level : {"low", "medium", "high"}) {
       auto* bench = benchmark::RegisterBenchmark(
           ("table3a/" + algorithm + "/" + level).c_str(),
           [algorithm, level](benchmark::State& state) { schedule_once(state, algorithm, level); });
       bench->Unit(benchmark::kMillisecond);
-      if (heavy) bench->Iterations(1);
+      if (info.refining) bench->Iterations(1);
     }
   }
 }

@@ -1,6 +1,7 @@
 #include "dag/workflow.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <unordered_map>
 #include <unordered_set>
@@ -11,34 +12,54 @@ namespace cloudwf::dag {
 
 Workflow::Workflow(std::string name) : name_(std::move(name)) {}
 
+// Messages that name a task are only built on failure: construction calls
+// these checks once per task and edge, so an eager std::string per check
+// would dominate loading a large workflow.
+
 TaskId Workflow::add_task(std::string name, Instructions mean_weight, Instructions weight_stddev,
                           std::string type) {
   require_mutable("add_task");
   require(!name.empty(), "Workflow::add_task: empty task name");
-  require(mean_weight > 0, "Workflow::add_task: mean weight must be positive (" + name + ")");
-  require(weight_stddev >= 0, "Workflow::add_task: negative weight stddev (" + name + ")");
-  require(find_task(name) == invalid_task, "Workflow::add_task: duplicate task name " + name);
+  if (!std::isfinite(mean_weight) || !std::isfinite(weight_stddev))
+    throw ValidationError("Workflow::add_task: non-finite weight (" + name + ")");
+  if (!(mean_weight > 0))
+    throw InvalidArgument("Workflow::add_task: mean weight must be positive (" + name + ")");
+  if (weight_stddev < 0)
+    throw InvalidArgument("Workflow::add_task: negative weight stddev (" + name + ")");
+  if (find_task(name) != invalid_task)
+    throw InvalidArgument("Workflow::add_task: duplicate task name " + name);
   tasks_.push_back(Task{std::move(name), std::move(type), mean_weight, weight_stddev});
   external_input_.push_back(0);
   external_output_.push_back(0);
+  in_edges_.emplace_back();
+  out_edges_.emplace_back();
   return static_cast<TaskId>(tasks_.size() - 1);
 }
 
 EdgeId Workflow::add_edge(TaskId src, TaskId dst, Bytes bytes) {
   require_mutable("add_edge");
   require(src < tasks_.size() && dst < tasks_.size(), "Workflow::add_edge: task id out of range");
-  require(src != dst, "Workflow::add_edge: self loop on " + tasks_[src].name);
+  if (src == dst) throw InvalidArgument("Workflow::add_edge: self loop on " + tasks_[src].name);
+  validate(std::isfinite(bytes), "Workflow::add_edge: non-finite data size");
   require(bytes >= 0, "Workflow::add_edge: negative data size");
-  for (const Edge& e : edges_)
-    require(!(e.src == src && e.dst == dst),
-            "Workflow::add_edge: duplicate edge " + tasks_[src].name + " -> " + tasks_[dst].name);
+  // Adjacency is kept up to date while building, so the multi-edge check
+  // walks src's out-edges only.
+  for (const EdgeId e : out_edges_[src]) {
+    if (edges_[e].dst == dst)
+      throw InvalidArgument("Workflow::add_edge: duplicate edge " + tasks_[src].name + " -> " +
+                            tasks_[dst].name);
+  }
+  const auto id = static_cast<EdgeId>(edges_.size());
   edges_.push_back(Edge{src, dst, bytes});
-  return static_cast<EdgeId>(edges_.size() - 1);
+  out_edges_[src].push_back(id);
+  in_edges_[dst].push_back(id);
+  return id;
 }
 
 void Workflow::add_external_input(TaskId task, Bytes bytes) {
   require_mutable("add_external_input");
   require(task < tasks_.size(), "Workflow::add_external_input: task id out of range");
+  validate(std::isfinite(bytes), "Workflow::add_external_input: non-finite data size");
   require(bytes >= 0, "Workflow::add_external_input: negative data size");
   external_input_[task] += bytes;
   external_input_total_ += bytes;
@@ -47,6 +68,7 @@ void Workflow::add_external_input(TaskId task, Bytes bytes) {
 void Workflow::add_external_output(TaskId task, Bytes bytes) {
   require_mutable("add_external_output");
   require(task < tasks_.size(), "Workflow::add_external_output: task id out of range");
+  validate(std::isfinite(bytes), "Workflow::add_external_output: non-finite data size");
   require(bytes >= 0, "Workflow::add_external_output: negative data size");
   external_output_[task] += bytes;
   external_output_total_ += bytes;
@@ -57,13 +79,6 @@ void Workflow::freeze() {
   validate(!tasks_.empty(), "Workflow::freeze: no tasks");
 
   const auto n = tasks_.size();
-  in_edges_.assign(n, {});
-  out_edges_.assign(n, {});
-  for (EdgeId e = 0; e < edges_.size(); ++e) {
-    in_edges_[edges_[e].dst].push_back(e);
-    out_edges_[edges_[e].src].push_back(e);
-  }
-
   entries_.clear();
   exits_.clear();
   for (TaskId t = 0; t < n; ++t) {

@@ -27,11 +27,14 @@ class Workflow {
 
   // ---- construction ------------------------------------------------------
 
-  /// Adds a task; names must be unique and weights non-negative.
+  /// Adds a task; names must be unique, the mean weight positive and the
+  /// stddev non-negative.  Non-finite weights throw ValidationError.
   TaskId add_task(std::string name, Instructions mean_weight, Instructions weight_stddev,
                   std::string type = {});
 
-  /// Adds a dependency edge carrying \p bytes; multi-edges are rejected.
+  /// Adds a dependency edge carrying \p bytes; multi-edges are rejected
+  /// (checked in O(out-degree of src)).  Non-finite sizes throw
+  /// ValidationError, here and in the external I/O calls.
   EdgeId add_edge(TaskId src, TaskId dst, Bytes bytes);
 
   /// Declares data that an entry task reads from outside the cloud
@@ -108,8 +111,8 @@ class Workflow {
   Bytes external_output_total_ = 0;
 
   bool frozen_ = false;
-  std::vector<std::vector<EdgeId>> in_edges_;
-  std::vector<std::vector<EdgeId>> out_edges_;
+  std::vector<std::vector<EdgeId>> in_edges_;   // per task, kept while building
+  std::vector<std::vector<EdgeId>> out_edges_;  // per task, kept while building
   std::vector<TaskId> entries_;
   std::vector<TaskId> exits_;
   std::vector<TaskId> topo_order_;
