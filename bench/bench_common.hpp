@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "exp/campaign.hpp"
-#include "obs/profile.hpp"
 #include "pegasus/generator.hpp"
 #include "platform/platform.hpp"
 
@@ -83,14 +82,6 @@ inline void print_scale_banner(const std::string& figure) {
             << "scale: "
             << (exp::full_mode() ? "FULL (paper)" : exp::quick_mode() ? "QUICK (CI)" : "default")
             << " — set CLOUDWF_FULL=1 for the paper-scale campaign\n\n";
-}
-
-/// Call last in a bench binary's main(): with CLOUDWF_PROFILE=1 the
-/// wall-clock profile of scheduler planning / simulator event loop /
-/// generator construction accumulated during the run lands on stderr
-/// (stdout tables stay byte-identical).
-inline void print_profile_if_enabled() {
-  if (obs::profiling_enabled()) std::cerr << obs::profile_report();
 }
 
 }  // namespace cloudwf::bench

@@ -7,13 +7,18 @@
 /// Supports the full JSON grammar except \u escapes beyond the Basic
 /// Multilingual Plane surrogate pairs, which are passed through verbatim.
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <variant>
 #include <vector>
+
+#include "common/error.hpp"
 
 namespace cloudwf {
 
@@ -83,5 +88,20 @@ class Json {
 
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> value_;
 };
+
+/// \p value (a JSON number) as an unsigned integer of type \p T.  Throws a
+/// one-line ValidationError naming \p what unless \p value is a whole number
+/// in T's range: converting a fractional, negative or out-of-range double to
+/// an integer type is undefined behaviour.
+template <typename T>
+[[nodiscard]] T json_unsigned(double value, std::string_view what) {
+  static_assert(std::is_unsigned_v<T>);
+  // 2^digits is exact in a double; T's maximum is not when T has 64 bits.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(value >= 0 && value < limit && value == std::floor(value)))
+    throw ValidationError(std::string(what) + " must be a whole number in [0, " +
+                          std::to_string(std::numeric_limits<T>::max()) + "]");
+  return static_cast<T>(value);
+}
 
 }  // namespace cloudwf

@@ -106,7 +106,7 @@ EvalResult eval_result_from_json(const Json& json) {
   r.predicted_makespan = json.at("predicted_makespan").as_number();
   r.predicted_cost = json.at("predicted_cost").as_number();
   r.predicted_feasible = json.at("predicted_feasible").as_bool();
-  r.used_vms = static_cast<std::size_t>(json.at("used_vms").as_number());
+  r.used_vms = json_unsigned<std::size_t>(json.at("used_vms").as_number(), "journal: used_vms");
   r.makespan = summary_from_json(json.at("makespan"));
   r.cost = summary_from_json(json.at("cost"));
   r.valid_fraction = json.at("valid_fraction").as_number();

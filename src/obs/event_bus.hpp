@@ -7,8 +7,8 @@
 /// `EventBus*` and guard every emission site with a single
 /// `bus != nullptr && bus->enabled()` test (cached as one bool per run in
 /// the simulator), so a run without sinks never constructs an Event.
-/// bench/bench_obs.cpp measures and enforces the <2% disabled-path
-/// contract against BENCH_scheduler.json.
+/// The `sim` section of bench/bench_sched.cpp measures the <2%
+/// disabled-path contract and records it in BENCH_sched.json.
 
 #include <cstddef>
 #include <deque>

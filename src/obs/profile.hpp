@@ -7,8 +7,7 @@
 /// construction.  Disabled (the default) a ProfileScope costs one bool
 /// load; enabled it records wall time into a process-wide table printed
 /// by profile_report().  Enable via CLOUDWF_PROFILE=1 or the CLI's
-/// --profile flag; bench/bench_obs.cpp uses the same scopes to build the
-/// BENCH_scheduler.json baseline.
+/// --profile flag.
 
 #include <chrono>
 #include <string>

@@ -36,7 +36,8 @@ Platform from_json(const std::string& text) {
       category.price_per_second = jc.at("price_per_second").as_number();
     if (const Json* setup = cobj.find("setup_cost")) category.setup_cost = setup->as_number();
     if (const Json* procs = cobj.find("processors"))
-      category.processors = static_cast<std::uint32_t>(procs->as_number());
+      category.processors =
+          json_unsigned<std::uint32_t>(procs->as_number(), "platform json: processors");
     builder.add_category(category);
   }
   return builder.build();

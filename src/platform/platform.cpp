@@ -1,10 +1,19 @@
 #include "platform/platform.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.hpp"
 
 namespace cloudwf::platform {
+
+namespace {
+
+// Finite as well as in range: +inf passes a plain `x > 0`, NaN fails both.
+bool positive(double x) { return std::isfinite(x) && x > 0; }
+bool non_negative(double x) { return std::isfinite(x) && x >= 0; }
+
+}  // namespace
 
 Platform::Platform(std::string name, std::vector<VmCategory> categories, Seconds boot_delay,
                    BytesPerSec bandwidth, Dollars dc_storage_price_per_byte_second,
@@ -19,18 +28,22 @@ Platform::Platform(std::string name, std::vector<VmCategory> categories, Seconds
       dc_aggregate_bandwidth_(dc_aggregate_bandwidth),
       billing_quantum_(billing_quantum) {
   require(!categories_.empty(), "Platform: at least one VM category required");
-  require(boot_delay_ >= 0, "Platform: negative boot delay");
-  require(bandwidth_ > 0, "Platform: bandwidth must be positive");
-  require(dc_storage_price_per_byte_second_ >= 0, "Platform: negative storage price");
-  require(dc_transfer_price_per_byte_ >= 0, "Platform: negative transfer price");
-  require(dc_aggregate_bandwidth_ >= 0, "Platform: negative aggregate bandwidth");
-  require(billing_quantum_ >= 0, "Platform: negative billing quantum");
+  require(non_negative(boot_delay_), "Platform: negative boot delay");
+  require(positive(bandwidth_), "Platform: bandwidth must be positive");
+  require(non_negative(dc_storage_price_per_byte_second_), "Platform: negative storage price");
+  require(non_negative(dc_transfer_price_per_byte_), "Platform: negative transfer price");
+  require(non_negative(dc_aggregate_bandwidth_), "Platform: negative aggregate bandwidth");
+  require(non_negative(billing_quantum_), "Platform: negative billing quantum");
   for (const VmCategory& c : categories_) {
     require(!c.name.empty(), "Platform: category with empty name");
-    require(c.speed > 0, "Platform: category speed must be positive (" + c.name + ")");
-    require(c.price_per_second > 0, "Platform: category price must be positive (" + c.name + ")");
-    require(c.setup_cost >= 0, "Platform: negative setup cost (" + c.name + ")");
-    require(c.processors >= 1, "Platform: category needs >= 1 processor (" + c.name + ")");
+    // The message names the category, so it is built only on failure.
+    const auto check = [&c](bool ok, const char* what) {
+      if (!ok) throw InvalidArgument(std::string("Platform: ") + what + " (" + c.name + ")");
+    };
+    check(positive(c.speed), "category speed must be positive");
+    check(positive(c.price_per_second), "category price must be positive");
+    check(non_negative(c.setup_cost), "negative setup cost");
+    check(c.processors >= 1, "category needs >= 1 processor");
   }
 
   // The paper sorts categories so that c_h,1 <= c_h,2 <= ... <= c_h,k.

@@ -145,9 +145,10 @@ namespace {
 
 /// Bounded formatter for the sched_decision detail string.  Appends into a
 /// fixed stack buffer, truncating on overflow — a truncated trace detail
-/// beats an ostringstream allocation per placement (bench_obs measured that
-/// at 27% of the enabled-path cost).  `%g` matches the default iostream
-/// double formatting the previous implementation produced.
+/// beats an ostringstream allocation per placement (the enabled-bus
+/// overhead benchmark measured that at 27% of the enabled-path cost).
+/// `%g` matches the default iostream double formatting the previous
+/// implementation produced.
 class DetailBuffer {
  public:
   template <typename... Args>

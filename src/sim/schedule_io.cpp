@@ -53,7 +53,8 @@ Schedule schedule_from_json(const Json& json, const dag::Workflow& wf) {
   cloudwf::validate(schema != nullptr && schema->is_string() &&
                         schema->as_string() == "cloudwf-schedule",
                     "schedule json: missing schema marker 'cloudwf-schedule'");
-  const auto task_count = static_cast<std::size_t>(field_number(root, "task_count", "root"));
+  const auto task_count = json_unsigned<std::size_t>(field_number(root, "task_count", "root"),
+                                                     "schedule json: task_count");
   cloudwf::validate(task_count == wf.task_count(),
                     "schedule json: task_count differs from the workflow");
 
@@ -63,9 +64,8 @@ Schedule schedule_from_json(const Json& json, const dag::Workflow& wf) {
   for (const Json& vm_json : vms->as_array()) {
     cloudwf::validate(vm_json.is_object(), "schedule json: vm entry must be an object");
     const Json::Object& vm_object = vm_json.as_object();
-    const double category = field_number(vm_object, "category", "vm entry");
-    cloudwf::validate(category >= 0, "schedule json: negative category");
-    const VmId vm = schedule.add_vm(static_cast<platform::CategoryId>(category));
+    const VmId vm = schedule.add_vm(json_unsigned<platform::CategoryId>(
+        field_number(vm_object, "category", "vm entry"), "schedule json: vm category"));
 
     const Json* tasks = vm_object.find("tasks");
     cloudwf::validate(tasks != nullptr && tasks->is_array(),

@@ -68,7 +68,8 @@ class Simulator {
   /// Both references must outlive the simulator.  When \p bus is non-null
   /// and has sinks attached, every run emits the full observability event
   /// stream (obs/events.hpp) through it; a null or sink-less bus costs one
-  /// cached bool test per run (the <2% contract of bench/bench_obs.cpp).
+  /// cached bool test per run (the <2% contract that bench/bench_sched.cpp
+  /// measures).
   Simulator(const dag::Workflow& wf, const platform::Platform& platform,
             obs::EventBus* bus = nullptr);
 

@@ -130,6 +130,14 @@ TEST_F(CheckpointTest, DegradedResultRoundTrips) {
   expect_results_identical(degraded, eval_result_from_json(reparsed));
 }
 
+TEST_F(CheckpointTest, UsedVmsOutsideSizeRangeRejected) {
+  for (const double used_vms : {-1.0, 2.5, 1e300}) {
+    Json json = eval_result_to_json(sample_result());
+    json.as_object()["used_vms"] = used_vms;
+    EXPECT_THROW((void)eval_result_from_json(json), ValidationError);
+  }
+}
+
 TEST_F(CheckpointTest, FingerprintSeparatesRequests) {
   const auto wf = pegasus::generate(pegasus::WorkflowType::montage, {15, 1, 0.5});
   RunRequest base;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 #include "platform/pricing.hpp"
 
@@ -80,6 +82,39 @@ TEST(Platform, ValidationRejectsBadInput) {
   EXPECT_THROW(
       (void)PlatformBuilder("p").add_category({"a", 1.0, 1.0, 0, 1}).boot_delay(-1).build(),
       InvalidArgument);
+}
+
+TEST(Platform, ValidationRejectsNonFiniteValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const VmCategory ok{"a", 1.0, 1.0, 0, 1};
+  for (const double bad : {inf, nan}) {
+    EXPECT_THROW((void)PlatformBuilder("p").add_category({"a", bad, 1.0, 0, 1}).build(),
+                 InvalidArgument);  // speed
+    EXPECT_THROW((void)PlatformBuilder("p").add_category({"a", 1.0, bad, 0, 1}).build(),
+                 InvalidArgument);  // price
+    EXPECT_THROW((void)PlatformBuilder("p").add_category({"a", 1.0, 1.0, bad, 1}).build(),
+                 InvalidArgument);  // setup cost
+    EXPECT_THROW((void)PlatformBuilder("p").add_category(ok).boot_delay(bad).build(),
+                 InvalidArgument);
+    EXPECT_THROW((void)PlatformBuilder("p").add_category(ok).bandwidth(bad).build(),
+                 InvalidArgument);
+    EXPECT_THROW((void)PlatformBuilder("p").add_category(ok).billing_quantum(bad).build(),
+                 InvalidArgument);
+    EXPECT_THROW(
+        (void)PlatformBuilder("p").add_category(ok).dc_storage_price_per_gb_month(bad).build(),
+        InvalidArgument);
+    EXPECT_THROW((void)PlatformBuilder("p").add_category(ok).dc_transfer_price_per_gb(bad).build(),
+                 InvalidArgument);
+    EXPECT_THROW((void)PlatformBuilder("p").add_category(ok).dc_aggregate_bandwidth(bad).build(),
+                 InvalidArgument);
+  }
+  try {
+    (void)PlatformBuilder("p").add_category({"big", inf, 1.0, 0, 1}).build();
+    FAIL() << "infinite speed accepted";
+  } catch (const InvalidArgument& error) {
+    EXPECT_STREQ(error.what(), "Platform: category speed must be positive (big)");
+  }
 }
 
 TEST(Platform, CategoryOutOfRangeThrows) {

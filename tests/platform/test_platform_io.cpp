@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "common/error.hpp"
 #include "platform/pricing.hpp"
@@ -71,6 +72,18 @@ TEST(PlatformIo, RoundTripsPaperPlatform) {
 
 TEST(PlatformIo, MissingCategoriesRejected) {
   EXPECT_THROW((void)from_json(R"({"name": "x"})"), InvalidArgument);
+}
+
+TEST(PlatformIo, ProcessorsOutsideUint32Rejected) {
+  const auto with_processors = [](const std::string& processors) {
+    return R"({"categories": [{"name": "c", "speed": 1, "price_per_second": 1, "processors": )" +
+           processors + "}]}";
+  };
+  for (const std::string processors : {"-1", "1.5", "1e12", "4294967296"}) {
+    SCOPED_TRACE(processors);
+    EXPECT_THROW((void)from_json(with_processors(processors)), ValidationError);
+  }
+  EXPECT_EQ(from_json(with_processors("4294967295")).category(0).processors, 4294967295u);
 }
 
 TEST(PlatformIo, SaveAndLoadFile) {

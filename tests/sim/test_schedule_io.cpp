@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 
 #include "common/error.hpp"
 #include "sched/registry.hpp"
@@ -96,6 +97,19 @@ TEST(ScheduleIo, RejectsMalformedDocuments) {
   EXPECT_THROW((void)parse(R"({"schema":"cloudwf-schedule","version":1,"task_count":2,
       "vms":[{"category":0,"tasks":["A"],"priorities":[]}]})"),
                ValidationError);
+  // Counts that are not whole numbers in range (casting them is UB).
+  for (const std::string category : {"0.5", "-1", "4294967296.0", "1e300"}) {
+    SCOPED_TRACE(category);
+    const std::string vm = R"({"category":)" + category + R"(,"tasks":[],"priorities":[]})";
+    EXPECT_THROW((void)parse(R"({"schema":"cloudwf-schedule","task_count":2,"vms":[)" + vm + "]}"),
+                 ValidationError);
+  }
+  for (const std::string task_count : {"2.5", "-2", "1e300"}) {
+    SCOPED_TRACE(task_count);
+    EXPECT_THROW((void)parse(R"({"schema":"cloudwf-schedule","task_count":)" + task_count +
+                             R"(,"vms":[]})"),
+                 ValidationError);
+  }
 }
 
 TEST(ScheduleIo, MissingFileThrowsIoError) {

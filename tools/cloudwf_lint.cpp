@@ -133,7 +133,8 @@ bool parse_count(const std::string& field, const std::string& where, CheckReport
   double value = 0;
   if (!parse_number(field, where, report, value)) return false;
   ++report.checks_run;
-  if (value < 0 || value != std::floor(value)) {
+  // Whole and below 2^64, so the conversion below is defined.
+  if (!(value >= 0 && value < 0x1p64 && value == std::floor(value))) {
     report.add(InvariantCode::artifact_format, where,
                "expected a non-negative integer, got '" + field + "'");
     return false;
@@ -182,7 +183,8 @@ std::size_t json_count(const Json::Object& object, const std::string& key,
                        const std::string& where, CheckReport& report) {
   const double value = json_number(object, key, where, report);
   ++report.checks_run;
-  if (value < 0 || value != std::floor(value)) {
+  // Whole and below 2^64, so the conversion below is defined.
+  if (!(value >= 0 && value < 0x1p64 && value == std::floor(value))) {
     report.add(InvariantCode::artifact_format, where,
                "field '" + key + "' must be a non-negative integer", 0, value);
     return 0;
