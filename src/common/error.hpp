@@ -7,6 +7,18 @@
 /// exceptions derived from cloudwf::Error.  Internal invariants are guarded
 /// with CLOUDWF_ASSERT, which stays active in release builds: simulation
 /// results are only trustworthy if the engine's invariants held.
+///
+/// A check that passes must cost one branch and no allocation, because many
+/// of them sit inside accessors the simulator calls per event.  So a literal
+/// message goes through require()/validate(), which bind it as a
+/// `const char*`; a message composed from run-time values is built behind
+/// an `if`, only once the check has failed:
+///
+///     require(task < size(), "Workflow::task: id out of range");
+///     if (!found) throw InvalidArgument("Json: missing key '" + key + "'");
+///
+/// tests/integration/test_alloc_budget.cpp holds the simulator and the
+/// parsers to this with allocation counts.
 
 #include <source_location>
 #include <sstream>
@@ -126,12 +138,24 @@ namespace detail {
 
 }  // namespace detail
 
-/// Throws InvalidArgument with \p msg unless \p cond holds.
+/// Throws InvalidArgument with \p msg unless \p cond holds.  A passing
+/// check allocates nothing.
+inline void require(bool cond, const char* msg) {
+  if (!cond) throw InvalidArgument(msg);
+}
+
+/// Throws ValidationError with \p msg unless \p cond holds.  A passing
+/// check allocates nothing.
+inline void validate(bool cond, const char* msg) {
+  if (!cond) throw ValidationError(msg);
+}
+
+/// Overloads for a message the caller already holds as a string.  Never
+/// compose the argument in the call: it would be built on every call.
 inline void require(bool cond, const std::string& msg) {
   if (!cond) throw InvalidArgument(msg);
 }
 
-/// Throws ValidationError with \p msg unless \p cond holds.
 inline void validate(bool cond, const std::string& msg) {
   if (!cond) throw ValidationError(msg);
 }

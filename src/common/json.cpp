@@ -58,7 +58,7 @@ Json::Object& Json::as_object() {
 
 const Json& Json::at(std::string_view key) const {
   const Json* found = as_object().find(key);
-  require(found != nullptr, "Json: missing key '" + std::string(key) + "'");
+  if (found == nullptr) throw InvalidArgument("Json: missing key '" + std::string(key) + "'");
   return *found;
 }
 
@@ -112,13 +112,15 @@ class Parser {
   Json parse_document() {
     Json value = parse_value();
     skip_whitespace();
-    require(pos_ == text_.size(), error_at("trailing characters after JSON document"));
+    if (pos_ != text_.size()) fail("trailing characters after JSON document");
     return value;
   }
 
  private:
-  [[nodiscard]] std::string error_at(const std::string& what) const {
-    return "Json::parse: " + what + " at offset " + std::to_string(pos_);
+  /// Throws the parse error for \p what at the current offset.
+  [[noreturn]] void fail(std::string_view what) const {
+    throw InvalidArgument("Json::parse: " + std::string(what) + " at offset " +
+                          std::to_string(pos_));
   }
 
   void skip_whitespace() {
@@ -129,12 +131,12 @@ class Parser {
 
   [[nodiscard]] char peek() {
     skip_whitespace();
-    require(pos_ < text_.size(), error_at("unexpected end of input"));
+    if (pos_ >= text_.size()) fail("unexpected end of input");
     return text_[pos_];
   }
 
   void expect(char c) {
-    require(peek() == c, error_at(std::string("expected '") + c + "'"));
+    if (peek() != c) fail(std::string("expected '") + c + "'");
     ++pos_;
   }
 
@@ -148,14 +150,20 @@ class Parser {
   }
 
   void expect_literal(std::string_view literal) {
-    require(text_.substr(pos_, literal.size()) == literal, error_at("invalid literal"));
+    if (text_.substr(pos_, literal.size()) != literal) fail("invalid literal");
     pos_ += literal.size();
   }
 
   Json parse_value() {
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+    const char c = peek();
+    if (c == '{' || c == '[') {
+      if (depth_ == Json::max_nesting) fail("nesting too deep");
+      ++depth_;
+      Json value = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return value;
+    }
+    switch (c) {
       case '"': return Json(parse_string());
       case 't': expect_literal("true"); return Json(true);
       case 'f': expect_literal("false"); return Json(false);
@@ -193,14 +201,14 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
-      require(pos_ < text_.size(), error_at("unterminated string"));
+      if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
       if (c != '\\') {
         out += c;
         continue;
       }
-      require(pos_ < text_.size(), error_at("unterminated escape"));
+      if (pos_ >= text_.size()) fail("unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {
         case '"': out += '"'; break;
@@ -212,7 +220,7 @@ class Parser {
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
         case 'u': {
-          require(pos_ + 4 <= text_.size(), error_at("truncated \\u escape"));
+          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
           unsigned code = 0;
           for (int i = 0; i < 4; ++i) {
             const char h = text_[pos_++];
@@ -220,7 +228,7 @@ class Parser {
             if (h >= '0' && h <= '9') code += static_cast<unsigned>(h - '0');
             else if (h >= 'a' && h <= 'f') code += static_cast<unsigned>(h - 'a' + 10);
             else if (h >= 'A' && h <= 'F') code += static_cast<unsigned>(h - 'A' + 10);
-            else throw InvalidArgument(error_at("invalid hex digit in \\u escape"));
+            else fail("invalid hex digit in \\u escape");
           }
           // UTF-8 encode the code point (BMP only; surrogates passed through).
           if (code < 0x80) {
@@ -235,7 +243,7 @@ class Parser {
           }
           break;
         }
-        default: throw InvalidArgument(error_at("invalid escape character"));
+        default: fail("invalid escape character");
       }
     }
   }
@@ -250,12 +258,13 @@ class Parser {
       ++pos_;
     double value = 0.0;
     const auto [ptr, ec] = std::from_chars(text_.data() + start, text_.data() + pos_, value);
-    require(ec == std::errc{} && ptr == text_.data() + pos_, error_at("invalid number"));
+    if (ec != std::errc{} || ptr != text_.data() + pos_) fail("invalid number");
     return Json(value);
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // arrays/objects open around pos_
 };
 
 }  // namespace

@@ -80,8 +80,14 @@ class Json {
   /// Serializes; \p indent > 0 pretty-prints with that many spaces.
   [[nodiscard]] std::string dump(int indent = 0) const;
 
-  /// Parses \p text; throws InvalidArgument with position info on error.
+  /// Parses \p text; throws InvalidArgument with position info on error,
+  /// including for arrays and objects nested deeper than max_nesting.
   [[nodiscard]] static Json parse(std::string_view text);
+
+  /// Deepest array/object nesting parse() accepts.  The parser recurses once
+  /// per level, so without a limit a hostile document overflows the stack;
+  /// cloudwf's own documents nest at most a handful deep.
+  static constexpr std::size_t max_nesting = 256;
 
  private:
   void dump_to(std::string& out, int indent, int depth) const;

@@ -21,8 +21,9 @@ const std::string* XmlElement::find_attribute(std::string_view name) const {
 
 const std::string& XmlElement::attribute(std::string_view name) const {
   const std::string* found = find_attribute(name);
-  require(found != nullptr,
-          "XmlElement: <" + name_ + "> has no attribute '" + std::string(name) + "'");
+  if (found == nullptr)
+    throw InvalidArgument("XmlElement: <" + name_ + "> has no attribute '" + std::string(name) +
+                          "'");
   return *found;
 }
 
@@ -83,13 +84,15 @@ class Parser {
     skip_prolog();
     XmlElement root = parse_element();
     skip_misc();
-    require(pos_ == text_.size(), error_at("trailing content after root element"));
+    if (pos_ != text_.size()) fail("trailing content after root element");
     return root;
   }
 
  private:
-  [[nodiscard]] std::string error_at(const std::string& what) const {
-    return "parse_xml: " + what + " at offset " + std::to_string(pos_);
+  /// Throws the parse error for \p what at the current offset.
+  [[noreturn]] void fail(std::string_view what) const {
+    throw InvalidArgument("parse_xml: " + std::string(what) + " at offset " +
+                          std::to_string(pos_));
   }
 
   [[nodiscard]] bool starts_with(std::string_view prefix) const {
@@ -101,9 +104,9 @@ class Parser {
   }
 
   void skip_comment() {
-    require(starts_with("<!--"), error_at("expected comment"));
+    if (!starts_with("<!--")) fail("expected comment");
     const std::size_t end = text_.find("-->", pos_ + 4);
-    require(end != std::string_view::npos, error_at("unterminated comment"));
+    if (end == std::string_view::npos) fail("unterminated comment");
     pos_ = end + 3;
   }
 
@@ -111,7 +114,7 @@ class Parser {
     skip_whitespace();
     if (starts_with("<?xml")) {
       const std::size_t end = text_.find("?>", pos_);
-      require(end != std::string_view::npos, error_at("unterminated XML declaration"));
+      if (end == std::string_view::npos) fail("unterminated XML declaration");
       pos_ = end + 2;
     }
     skip_misc();
@@ -137,7 +140,7 @@ class Parser {
       else
         break;
     }
-    require(pos_ > start, error_at("expected a name"));
+    if (pos_ == start) fail("expected a name");
     return std::string(text_.substr(start, pos_ - start));
   }
 
@@ -150,7 +153,7 @@ class Parser {
         continue;
       }
       const std::size_t semi = raw.find(';', i);
-      require(semi != std::string_view::npos, error_at("unterminated entity"));
+      if (semi == std::string_view::npos) fail("unterminated entity");
       const std::string_view entity = raw.substr(i + 1, semi - i - 1);
       if (entity == "amp") out += '&';
       else if (entity == "lt") out += '<';
@@ -161,10 +164,10 @@ class Parser {
         const int base = entity.size() > 1 && (entity[1] == 'x' || entity[1] == 'X') ? 16 : 10;
         const std::string digits(entity.substr(base == 16 ? 2 : 1));
         const long code = std::strtol(digits.c_str(), nullptr, base);
-        require(code > 0 && code < 128, error_at("unsupported character reference"));
+        if (code <= 0 || code >= 128) fail("unsupported character reference");
         out += static_cast<char>(code);
       } else {
-        throw InvalidArgument(error_at("unknown entity '&" + std::string(entity) + ";'"));
+        fail("unknown entity '&" + std::string(entity) + ";'");
       }
       i = semi + 1;
     }
@@ -174,26 +177,27 @@ class Parser {
   void parse_attributes(XmlElement& element) {
     for (;;) {
       skip_whitespace();
-      require(pos_ < text_.size(), error_at("unterminated start tag"));
+      if (pos_ >= text_.size()) fail("unterminated start tag");
       const char c = text_[pos_];
       if (c == '>' || c == '/') return;
       std::string name = parse_name();
       skip_whitespace();
-      require(pos_ < text_.size() && text_[pos_] == '=', error_at("expected '='"));
+      if (pos_ >= text_.size() || text_[pos_] != '=') fail("expected '='");
       ++pos_;
       skip_whitespace();
-      require(pos_ < text_.size() && (text_[pos_] == '"' || text_[pos_] == '\''),
-              error_at("expected quoted attribute value"));
+      if (pos_ >= text_.size() || (text_[pos_] != '"' && text_[pos_] != '\''))
+        fail("expected quoted attribute value");
       const char quote = text_[pos_++];
       const std::size_t end = text_.find(quote, pos_);
-      require(end != std::string_view::npos, error_at("unterminated attribute value"));
+      if (end == std::string_view::npos) fail("unterminated attribute value");
       element.add_attribute(std::move(name), decode_entities(text_.substr(pos_, end - pos_)));
       pos_ = end + 1;
     }
   }
 
   XmlElement parse_element() {
-    require(pos_ < text_.size() && text_[pos_] == '<', error_at("expected '<'"));
+    if (pos_ >= text_.size() || text_[pos_] != '<') fail("expected '<'");
+    if (depth_ == xml_max_nesting) fail("nesting too deep");
     ++pos_;
     XmlElement element(parse_name());
     parse_attributes(element);
@@ -201,19 +205,19 @@ class Parser {
       pos_ += 2;
       return element;
     }
-    require(pos_ < text_.size() && text_[pos_] == '>', error_at("expected '>'"));
+    if (pos_ >= text_.size() || text_[pos_] != '>') fail("expected '>'");
     ++pos_;
 
     // Content: text, children, comments, CDATA, until the end tag.
     for (;;) {
-      require(pos_ < text_.size(), error_at("unterminated element <" + element.name() + ">"));
+      if (pos_ >= text_.size()) fail("unterminated element <" + element.name() + ">");
       if (starts_with("</")) {
         pos_ += 2;
         const std::string closing = parse_name();
-        require(closing == element.name(),
-                error_at("mismatched end tag </" + closing + "> for <" + element.name() + ">"));
+        if (closing != element.name())
+          fail("mismatched end tag </" + closing + "> for <" + element.name() + ">");
         skip_whitespace();
-        require(pos_ < text_.size() && text_[pos_] == '>', error_at("expected '>'"));
+        if (pos_ >= text_.size() || text_[pos_] != '>') fail("expected '>'");
         ++pos_;
         return element;
       }
@@ -223,18 +227,19 @@ class Parser {
       }
       if (starts_with("<![CDATA[")) {
         const std::size_t end = text_.find("]]>", pos_ + 9);
-        require(end != std::string_view::npos, error_at("unterminated CDATA"));
+        if (end == std::string_view::npos) fail("unterminated CDATA");
         element.append_text(text_.substr(pos_ + 9, end - pos_ - 9));
         pos_ = end + 3;
         continue;
       }
       if (text_[pos_] == '<') {
+        ++depth_;
         element.adopt_child(parse_element());
+        --depth_;
         continue;
       }
       const std::size_t next = text_.find('<', pos_);
-      require(next != std::string_view::npos,
-              error_at("unterminated element <" + element.name() + ">"));
+      if (next == std::string_view::npos) fail("unterminated element <" + element.name() + ">");
       const std::string decoded = decode_entities(text_.substr(pos_, next - pos_));
       // Ignorable whitespace between child elements is dropped so that
       // pretty-printed documents round-trip byte-for-byte.
@@ -246,6 +251,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // elements open around pos_
 };
 
 }  // namespace

@@ -62,8 +62,14 @@ class XmlElement {
   std::string text_;
 };
 
+/// Deepest element nesting parse_xml accepts (the root is level 1).  The
+/// parser recurses once per level, so without a limit a hostile document
+/// overflows the stack; DAX files nest three levels deep.
+inline constexpr std::size_t xml_max_nesting = 256;
+
 /// Parses one XML document and returns its root element.
-/// Throws InvalidArgument with offset information on malformed input.
+/// Throws InvalidArgument with offset information on malformed input,
+/// including elements nested deeper than xml_max_nesting.
 [[nodiscard]] XmlElement parse_xml(std::string_view text);
 
 }  // namespace cloudwf

@@ -21,11 +21,11 @@ std::string format_number(double value) {
   return std::string(buf.data(), ptr);
 }
 
-double parse_number(const std::string& text, const std::string& what) {
+double parse_number(const std::string& text, const char* what) {
   double value = 0;
   const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  require(ec == std::errc{} && ptr == text.data() + text.size(),
-          "from_dax: invalid " + what + " '" + text + "'");
+  if (ec != std::errc{} || ptr != text.data() + text.size())
+    throw InvalidArgument("from_dax: invalid " + std::string(what) + " '" + text + "'");
   return value;
 }
 
@@ -51,7 +51,7 @@ Workflow from_dax(const std::string& text, const DaxOptions& options) {
   std::vector<JobFiles> files;
   for (const XmlElement* job : root.children_named("job")) {
     const std::string& id = job->attribute("id");
-    require(!by_id.contains(id), "from_dax: duplicate job id " + id);
+    if (by_id.contains(id)) throw InvalidArgument("from_dax: duplicate job id " + id);
     const double runtime = parse_number(job->attribute_or("runtime", "1"), "runtime");
     const Instructions mean =
         std::max(options.min_weight, runtime * options.reference_speed);
@@ -62,7 +62,8 @@ Workflow from_dax(const std::string& text, const DaxOptions& options) {
     JobFiles jf;
     for (const XmlElement* uses : job->children_named("uses")) {
       const std::string file = uses->attribute_or("file", uses->attribute_or("name", ""));
-      require(!file.empty(), "from_dax: <uses> without a file name in job " + id);
+      if (file.empty())
+        throw InvalidArgument("from_dax: <uses> without a file name in job " + id);
       const Bytes size = parse_number(uses->attribute_or("size", "0"), "file size");
       const std::string link = uses->attribute_or("link", "input");
       if (link == "output")
@@ -79,11 +80,13 @@ Workflow from_dax(const std::string& text, const DaxOptions& options) {
   for (const XmlElement* child : root.children_named("child")) {
     const std::string& child_id = child->attribute("ref");
     const auto child_it = by_id.find(child_id);
-    require(child_it != by_id.end(), "from_dax: <child ref> to unknown job " + child_id);
+    if (child_it == by_id.end())
+      throw InvalidArgument("from_dax: <child ref> to unknown job " + child_id);
     for (const XmlElement* parent : child->children_named("parent")) {
       const std::string& parent_id = parent->attribute("ref");
       const auto parent_it = by_id.find(parent_id);
-      require(parent_it != by_id.end(), "from_dax: <parent ref> to unknown job " + parent_id);
+      if (parent_it == by_id.end())
+        throw InvalidArgument("from_dax: <parent ref> to unknown job " + parent_id);
       const TaskId src = parent_it->second;
       const TaskId dst = child_it->second;
       if (!seen.insert({src, dst}).second) continue;  // duplicate declaration
@@ -118,7 +121,7 @@ Workflow from_dax(const std::string& text, const DaxOptions& options) {
 
 Workflow load_dax(const std::string& path, const DaxOptions& options) {
   std::ifstream in(path);
-  require(in.good(), "load_dax: cannot open " + path);
+  if (!in.good()) throw InvalidArgument("load_dax: cannot open " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return from_dax(buffer.str(), options);
@@ -173,9 +176,9 @@ std::string to_dax(const Workflow& wf, InstrPerSec reference_speed) {
 
 void save_dax(const Workflow& wf, const std::string& path, InstrPerSec reference_speed) {
   std::ofstream out(path);
-  require(out.good(), "save_dax: cannot open " + path);
+  if (!out.good()) throw InvalidArgument("save_dax: cannot open " + path);
   out << to_dax(wf, reference_speed);
-  require(out.good(), "save_dax: write failed for " + path);
+  if (!out.good()) throw InvalidArgument("save_dax: write failed for " + path);
 }
 
 }  // namespace cloudwf::dag

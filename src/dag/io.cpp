@@ -61,8 +61,10 @@ Workflow from_json(const std::string& text) {
     for (const Json& je : root.at("edges").as_array()) {
       const TaskId src = wf.find_task(je.at("src").as_string());
       const TaskId dst = wf.find_task(je.at("dst").as_string());
-      require(src != invalid_task, "from_json: unknown edge source " + je.at("src").as_string());
-      require(dst != invalid_task, "from_json: unknown edge target " + je.at("dst").as_string());
+      if (src == invalid_task)
+        throw InvalidArgument("from_json: unknown edge source " + je.at("src").as_string());
+      if (dst == invalid_task)
+        throw InvalidArgument("from_json: unknown edge target " + je.at("dst").as_string());
       wf.add_edge(src, dst, je.at("bytes").as_number());
     }
   }
@@ -73,14 +75,14 @@ Workflow from_json(const std::string& text) {
 
 void save_json(const Workflow& wf, const std::string& path) {
   std::ofstream out(path);
-  require(out.good(), "save_json: cannot open " + path);
+  if (!out.good()) throw InvalidArgument("save_json: cannot open " + path);
   out << to_json(wf) << '\n';
-  require(out.good(), "save_json: write failed for " + path);
+  if (!out.good()) throw InvalidArgument("save_json: write failed for " + path);
 }
 
 Workflow load_json(const std::string& path) {
   std::ifstream in(path);
-  require(in.good(), "load_json: cannot open " + path);
+  if (!in.good()) throw InvalidArgument("load_json: cannot open " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return from_json(buffer.str());

@@ -101,7 +101,8 @@ void Workflow::freeze() {
       if (--pending[succ] == 0) ready.push_back(succ);
     }
   }
-  validate(topo_order_.size() == n, "Workflow::freeze: dependency cycle in " + name_);
+  if (topo_order_.size() != n)
+    throw ValidationError("Workflow::freeze: dependency cycle in " + name_);
 
   total_mean_weight_ = 0;
   total_conservative_weight_ = 0;
@@ -177,11 +178,12 @@ Bytes Workflow::predecessor_bytes(TaskId task) const {
 }
 
 void Workflow::require_frozen(const char* fn) const {
-  require(frozen_, std::string("Workflow::") + fn + ": workflow not frozen");
+  if (!frozen_) throw InvalidArgument(std::string("Workflow::") + fn + ": workflow not frozen");
 }
 
 void Workflow::require_mutable(const char* fn) const {
-  require(!frozen_, std::string("Workflow::") + fn + ": workflow already frozen");
+  if (frozen_)
+    throw InvalidArgument(std::string("Workflow::") + fn + ": workflow already frozen");
 }
 
 }  // namespace cloudwf::dag

@@ -44,8 +44,9 @@ constexpr std::size_t fixed_tasks = 12;
 
 dag::Workflow generate_sipht(const GeneratorConfig& config) {
   detail::check_config(config);
-  require(config.task_count >= fixed_tasks + 1,
-          "generate_sipht: task_count must be >= " + std::to_string(fixed_tasks + 1));
+  if (config.task_count < fixed_tasks + 1)
+    throw InvalidArgument("generate_sipht: task_count must be >= " +
+                          std::to_string(fixed_tasks + 1));
   Rng rng(config.seed);
   dag::Workflow wf(detail::instance_name("sipht", config));
 

@@ -45,7 +45,7 @@ Platform from_json(const std::string& text) {
 
 Platform load_json(const std::string& path) {
   std::ifstream in(path);
-  require(in.good(), "platform::load_json: cannot open " + path);
+  if (!in.good()) throw InvalidArgument("platform::load_json: cannot open " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return from_json(buffer.str());
@@ -78,9 +78,9 @@ std::string to_json(const Platform& platform) {
 
 void save_json(const Platform& platform, const std::string& path) {
   std::ofstream out(path);
-  require(out.good(), "platform::save_json: cannot open " + path);
+  if (!out.good()) throw InvalidArgument("platform::save_json: cannot open " + path);
   out << to_json(platform) << '\n';
-  require(out.good(), "platform::save_json: write failed for " + path);
+  if (!out.good()) throw InvalidArgument("platform::save_json: write failed for " + path);
 }
 
 }  // namespace cloudwf::platform

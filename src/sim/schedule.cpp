@@ -113,10 +113,9 @@ void Schedule::validate(const dag::Workflow& wf, const platform::Platform& platf
   for (const VmPlan& vm : vms_)
     for (std::size_t i = 0; i < vm.tasks.size(); ++i) position[vm.tasks[i]] = i;
   for (const dag::Edge& e : wf.edges()) {
-    if (assignment_[e.src] != assignment_[e.dst]) continue;
-    cloudwf::validate(position[e.src] < position[e.dst],
-                      "Schedule::validate: task " + wf.task(e.dst).name +
-                          " ordered before its same-VM predecessor " + wf.task(e.src).name);
+    if (assignment_[e.src] == assignment_[e.dst] && position[e.src] >= position[e.dst])
+      throw ValidationError("Schedule::validate: task " + wf.task(e.dst).name +
+                            " ordered before its same-VM predecessor " + wf.task(e.src).name);
   }
 }
 

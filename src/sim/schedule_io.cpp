@@ -10,11 +10,11 @@ namespace cloudwf::sim {
 
 namespace {
 
-double field_number(const Json::Object& object, std::string_view key,
-                    const std::string& where) {
+double field_number(const Json::Object& object, std::string_view key, const char* where) {
   const Json* value = object.find(key);
-  cloudwf::validate(value != nullptr && value->is_number(),
-                    "schedule json: " + where + " needs numeric '" + std::string(key) + "'");
+  if (value == nullptr || !value->is_number())
+    throw ValidationError("schedule json: " + std::string(where) + " needs numeric '" +
+                          std::string(key) + "'");
   return value->as_number();
 }
 
@@ -78,10 +78,10 @@ Schedule schedule_from_json(const Json& json, const dag::Workflow& wf) {
       const Json& name = tasks->as_array()[i];
       cloudwf::validate(name.is_string(), "schedule json: task names must be strings");
       const dag::TaskId task = wf.find_task(name.as_string());
-      cloudwf::validate(task != dag::invalid_task,
-                        "schedule json: unknown task '" + name.as_string() + "'");
-      cloudwf::validate(!schedule.assigned(task),
-                        "schedule json: task '" + name.as_string() + "' assigned twice");
+      if (task == dag::invalid_task)
+        throw ValidationError("schedule json: unknown task '" + name.as_string() + "'");
+      if (schedule.assigned(task))
+        throw ValidationError("schedule json: task '" + name.as_string() + "' assigned twice");
       const Json& priority = priorities->as_array()[i];
       cloudwf::validate(priority.is_number(), "schedule json: priorities must be numbers");
       schedule.set_priority(task, priority.as_number());

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace cloudwf {
@@ -102,6 +104,39 @@ TEST(Json, FindReturnsNullForMissing) {
   const Json doc = Json::parse(R"({"a":1})");
   EXPECT_EQ(doc.as_object().find("b"), nullptr);
   EXPECT_NE(doc.as_object().find("a"), nullptr);
+}
+
+/// \p depth arrays nested inside each other around a single 0.
+std::string nested_arrays(std::size_t depth) {
+  return std::string(depth, '[') + "0" + std::string(depth, ']');
+}
+
+TEST(Json, AcceptsNestingUpToTheLimit) {
+  const Json doc = Json::parse(nested_arrays(Json::max_nesting));
+  const Json* inner = &doc;
+  for (std::size_t level = 0; level < Json::max_nesting; ++level) inner = &inner->as_array()[0];
+  EXPECT_EQ(inner->as_number(), 0.0);
+}
+
+TEST(Json, RejectsNestingBeyondTheLimit) {
+  try {
+    (void)Json::parse(nested_arrays(Json::max_nesting + 1));
+    FAIL() << "expected parse error";
+  } catch (const InvalidArgument& error) {
+    EXPECT_STREQ(error.what(), "Json::parse: nesting too deep at offset 256");
+  }
+  std::string objects;
+  for (std::size_t level = 0; level <= Json::max_nesting; ++level) objects += R"({"k": )";
+  EXPECT_THROW((void)Json::parse(objects), InvalidArgument);
+}
+
+TEST(Json, RejectsMillionDeepDocumentWithoutCrashing) {
+  try {
+    (void)Json::parse(std::string(1'000'000, '[') + std::string(1'000'000, ']'));
+    FAIL() << "expected parse error";
+  } catch (const InvalidArgument& error) {
+    EXPECT_STREQ(error.what(), "Json::parse: nesting too deep at offset 256");
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace cloudwf {
@@ -99,6 +101,43 @@ TEST(Xml, BuilderProducesValidDocument) {
   job.add_attribute("id", "j<1>");
   const XmlElement back = parse_xml(root.dump());
   EXPECT_EQ(back.first_child("job")->attribute("id"), "j<1>");
+}
+
+/// \p depth <a> elements nested inside each other.
+std::string nested_elements(std::size_t depth) {
+  std::string text;
+  for (std::size_t level = 0; level < depth; ++level) text += "<a>";
+  for (std::size_t level = 0; level < depth; ++level) text += "</a>";
+  return text;
+}
+
+TEST(Xml, AcceptsNestingUpToTheLimit) {
+  const XmlElement root = parse_xml(nested_elements(xml_max_nesting));
+  const XmlElement* inner = &root;
+  std::size_t levels = 1;
+  while (const XmlElement* child = inner->first_child("a")) {
+    inner = child;
+    ++levels;
+  }
+  EXPECT_EQ(levels, xml_max_nesting);
+}
+
+TEST(Xml, RejectsNestingBeyondTheLimit) {
+  try {
+    (void)parse_xml(nested_elements(xml_max_nesting + 1));
+    FAIL() << "expected parse error";
+  } catch (const InvalidArgument& error) {
+    EXPECT_STREQ(error.what(), "parse_xml: nesting too deep at offset 768");
+  }
+}
+
+TEST(Xml, RejectsMillionDeepDocumentWithoutCrashing) {
+  try {
+    (void)parse_xml(nested_elements(1'000'000));
+    FAIL() << "expected parse error";
+  } catch (const InvalidArgument& error) {
+    EXPECT_STREQ(error.what(), "parse_xml: nesting too deep at offset 768");
+  }
 }
 
 }  // namespace

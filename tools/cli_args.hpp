@@ -31,7 +31,7 @@ class Args {
         if (switches.contains(name)) {
           flags_[name] = "true";
         } else {
-          require(i + 1 < args_.size(), "missing value for --" + name);
+          if (i + 1 >= args_.size()) throw InvalidArgument("missing value for --" + name);
           flags_[name] = args_[++i];
         }
         seen_.insert(name);
@@ -45,7 +45,7 @@ class Args {
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
 
   [[nodiscard]] std::string positional_at(std::size_t index, const std::string& what) const {
-    require(index < positional_.size(), "missing argument: " + what);
+    if (index >= positional_.size()) throw InvalidArgument("missing argument: " + what);
     return positional_[index];
   }
 

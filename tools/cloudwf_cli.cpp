@@ -124,7 +124,7 @@ void save_workflow(const dag::Workflow& wf, const std::string& path) {
     dag::save_dax(wf, path);
   } else if (ext == ".dot") {
     std::ofstream out(path);
-    require(out.good(), "cannot open " + path);
+    if (!out.good()) throw InvalidArgument("cannot open " + path);
     out << dag::to_dot(wf);
   } else {
     throw InvalidArgument("unrecognized output extension '" + ext + "'");
