@@ -66,7 +66,7 @@ int main() {
       for (const Seconds quantum : {0.0, 60.0, 600.0, 3600.0}) {
         const platform::Platform platform =
             quantum == 0.0 ? continuous : quantized_paper_platform(quantum);
-        const sim::Simulator simulator(wf, platform);
+        sim::Simulator simulator(wf, platform);
         Accumulator cost;
         Accumulator valid;
         const Rng base(99);

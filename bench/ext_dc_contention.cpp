@@ -53,7 +53,7 @@ int main() {
     for (const double factor : {0.0, 8.0, 4.0, 2.0, 1.0}) {  // 0 = unlimited
       const platform::Platform platform =
           factor == 0.0 ? open : platform::paper_platform_with_contention(factor);
-      const sim::Simulator simulator(wf, platform);
+      sim::Simulator simulator(wf, platform);
       Accumulator makespan;
       Accumulator valid;
       std::size_t peak = 0;

@@ -38,7 +38,7 @@ int main() {
     const auto levels = exp::compute_budget_levels(wf, cloud);
     const Dollars budget = 1.05 * levels.min_cost;
     const auto out = sched::make_scheduler("heft-budg")->schedule({wf, cloud, budget});
-    const sim::Simulator simulator(wf, cloud);
+    sim::Simulator simulator(wf, cloud);
 
     TablePrinter table("online re-scheduling — " + std::string(pegasus::to_string(type)) +
                        " (" + std::to_string(tasks) + " tasks, sigma=mu, HEFTBUDG @ 1.05*min)");

@@ -47,7 +47,7 @@ int main(int argc, char** argv) try {
     // 4. Execute one stochastic realization.
     Rng rng(2026);
     const dag::WeightRealization weights = dag::sample_weights(wf, rng);
-    const sim::Simulator simulator(wf, cloud);
+    sim::Simulator simulator(wf, cloud);
     const sim::SimResult run = simulator.run(out.schedule, weights);
 
     std::cout << "=== " << name << " ===\n"

@@ -49,7 +49,7 @@ int main(int argc, char** argv) try {
   const dag::WeightRealization realization{std::move(weights)};
   std::cout << "injected tail draw: " << wf.task(victim).name << " at mu + 5 sigma\n\n";
 
-  const sim::Simulator simulator(wf, cloud);
+  sim::Simulator simulator(wf, cloud);
   const sim::SimResult offline = simulator.run(out.schedule, realization);
 
   sim::OnlinePolicy policy;

@@ -74,7 +74,7 @@ EvalResult evaluate_schedule_until(const dag::Workflow& wf,
       throw InternalError("CLOUDWF_CHECK: " + report.text() + " [workflow " + wf.name() + "]");
   }
 
-  const sim::Simulator simulator(wf, platform);
+  sim::Simulator simulator(wf, platform);
   const bool inject = config.faults.enabled();
   const Rng base(config.seed);
   std::size_t valid = 0;

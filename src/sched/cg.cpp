@@ -43,7 +43,7 @@ sim::Schedule single_vm_schedule(const dag::Workflow& wf, platform::CategoryId c
 
 Dollars single_vm_cost(const dag::Workflow& wf, const platform::Platform& platform,
                        platform::CategoryId category) {
-  const sim::Simulator simulator(wf, platform);
+  sim::Simulator simulator(wf, platform);
   return simulator.run_conservative(single_vm_schedule(wf, category)).total_cost();
 }
 
@@ -152,7 +152,7 @@ SchedulerOutput CgScheduler::schedule(const SchedulerInput& input) const {
   if (!refine_) return finish(input, std::move(schedule));
 
   // ---- CG+: critical-path refinement --------------------------------------
-  const sim::Simulator simulator(wf, platform);
+  sim::Simulator simulator(wf, platform);
   sim::SimResult current = simulator.run_conservative(schedule);
   // Generous iteration cap: each applied move strictly reduces makespan, but
   // guard against floating-point ping-pong anyway.

@@ -9,7 +9,7 @@ std::size_t refine_by_resimulation(const SchedulerInput& input, sim::Schedule& s
                                    std::span<const dag::TaskId> order) {
   require(order.size() == input.wf.task_count(),
           "refine_by_resimulation: order must cover every task");
-  const sim::Simulator simulator(input.wf, input.platform);
+  sim::Simulator simulator(input.wf, input.platform);
   Seconds best_makespan = simulator.run_conservative(schedule).makespan;
   std::size_t applied = 0;
 

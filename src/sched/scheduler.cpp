@@ -26,7 +26,7 @@ SchedulerInput make_input(const dag::Workflow& wf, const platform::Platform& pla
 SchedulerOutput Scheduler::finish(const SchedulerInput& input, sim::Schedule schedule) {
   const obs::ProfileScope profile("sched.predict");
   sim::Schedule compacted = schedule.compacted();
-  const sim::Simulator simulator(input.wf, input.platform);
+  sim::Simulator simulator(input.wf, input.platform);
   const sim::SimResult prediction = simulator.run_conservative(compacted);
   SchedulerOutput out{std::move(compacted), prediction.makespan, prediction.total_cost(), false};
   out.budget_feasible = out.predicted_cost <= input.budget + money_epsilon;

@@ -23,9 +23,17 @@ FlowId FluidNetwork::start_flow(Bytes bytes, Seconds now) {
   return id;
 }
 
-std::vector<FlowId> FluidNetwork::advance(Seconds now) {
+void FluidNetwork::reset() {
+  flows_.clear();
+  active_.clear();
+  last_update_ = 0;
+  completed_bytes_ = 0;
+  peak_active_ = 0;
+}
+
+void FluidNetwork::advance(Seconds now, std::vector<FlowId>& completed) {
   progress_to(now);
-  std::vector<FlowId> completed;
+  completed.clear();
   // Completion tolerance scaled to rate: one nanosecond of transfer.
   const Bytes tolerance = current_rate() * 1e-9;
   for (auto it = active_.begin(); it != active_.end();) {
@@ -40,7 +48,6 @@ std::vector<FlowId> FluidNetwork::advance(Seconds now) {
       ++it;
     }
   }
-  return completed;
 }
 
 Seconds FluidNetwork::next_completion() const {

@@ -38,9 +38,14 @@ class FluidNetwork {
   /// Zero-byte flows complete immediately (reported by the next advance()).
   FlowId start_flow(Bytes bytes, Seconds now);
 
+  /// Returns the network to its just-constructed state (no flows, clock at
+  /// zero) while keeping its storage, so one network serves many runs.
+  void reset();
+
   /// Advances all flows to \p now (now must not exceed next_completion())
-  /// and returns the flows that completed at \p now, in start order.
-  [[nodiscard]] std::vector<FlowId> advance(Seconds now);
+  /// and replaces the contents of \p completed with the flows that
+  /// completed at \p now, in start order.
+  void advance(Seconds now, std::vector<FlowId>& completed);
 
   /// Time at which the earliest active flow completes; +inf when idle.
   [[nodiscard]] Seconds next_completion() const;

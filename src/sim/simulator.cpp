@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <optional>
-#include <queue>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -62,32 +61,61 @@ struct EventLater {
   }
 };
 
-/// One full execution; built fresh per Simulator::run call.
+/// FIFO of pending TransferJob indexes on one VM link: a vector and a head
+/// index.  Draining it rewinds both, so its storage survives for later jobs
+/// and later runs (a std::deque allocates even while empty).
+class LinkQueue {
+ public:
+  [[nodiscard]] bool empty() const { return head_ == items_.size(); }
+  void push_back(std::size_t job) { items_.push_back(job); }
+  std::size_t pop_front() {
+    const std::size_t job = items_[head_++];
+    if (empty()) clear();
+    return job;
+  }
+  void clear() {
+    items_.clear();
+    head_ = 0;
+  }
+  /// Drops the pending jobs matching \p pred, keeping the order of the rest.
+  template <class Pred>
+  void erase_if(Pred pred) {
+    const auto pending = items_.begin() + static_cast<std::ptrdiff_t>(head_);
+    items_.erase(std::remove_if(pending, items_.end(), pred), items_.end());
+    if (empty()) clear();
+  }
+
+ private:
+  std::vector<std::size_t> items_;
+  std::size_t head_ = 0;
+};
+
+}  // namespace
+
+/// The execution state of one Simulator, reset in place by every run.
 ///
 /// The task-to-VM mapping starts as a copy of the static Schedule but is
 /// *mutable*: the online policy (paper Section VI) may interrupt a running
 /// task and restart it on a freshly provisioned VM of the fastest category,
 /// and fault recovery (faults.hpp) may re-home the work of a crashed VM.
-class Execution {
+///
+/// Every container keeps its capacity from run to run.  The per-VM plans
+/// and link queues are pooled past the current VM count, so a run with
+/// fewer VMs than the last one keeps the storage of the others for the
+/// next run that needs it.
+class Simulator::Engine {
  public:
-  Execution(const dag::Workflow& wf, const platform::Platform& platform,
-            const Schedule& schedule, const dag::WeightRealization& weights,
-            const OnlinePolicy* policy, const FaultModel* faults,
-            const RecoveryPolicy* recovery, obs::EventBus* bus)
+  Engine(const dag::Workflow& wf, const platform::Platform& platform, obs::EventBus* bus)
       : wf_(wf),
         platform_(platform),
-        schedule_(schedule),
-        weights_(weights),
-        policy_(policy),
-        faults_(faults),
-        recovery_(recovery),
         bus_(bus),
-        obs_(bus != nullptr && bus->enabled()),
-        fluid_(platform.bandwidth(), platform.dc_aggregate_bandwidth()) {
-    if (faults_ != nullptr && faults_->enabled()) injector_.emplace(*faults_);
-  }
+        fluid_(platform.bandwidth(), platform.dc_aggregate_bandwidth()) {}
 
-  SimResult run();
+  /// One execution of \p schedule.  \p policy, \p faults and \p recovery
+  /// are null when their layer is off; all of them must outlive the call.
+  SimResult run(const Schedule& schedule, const dag::WeightRealization& weights,
+                const OnlinePolicy* policy, const FaultModel* faults,
+                const RecoveryPolicy* recovery);
 
  private:
   // ---- state --------------------------------------------------------------
@@ -102,8 +130,6 @@ class Execution {
     Seconds busy = 0;  // total compute time
     std::size_t next_start_idx = 0;
     std::uint32_t free_procs = 0;
-    std::deque<std::size_t> queue_up;    // pending TransferJob indexes
-    std::deque<std::size_t> queue_down;  // pending TransferJob indexes
     bool uplink_busy = false;
     bool downlink_busy = false;
     std::size_t tasks_done = 0;
@@ -128,20 +154,31 @@ class Execution {
     dag::TaskId gate_task = dag::invalid_task;
   };
 
+  /// The two link queues of one VM.
+  struct VmLinks {
+    LinkQueue up;
+    LinkQueue down;
+  };
+
   const dag::Workflow& wf_;
   const platform::Platform& platform_;
-  const Schedule& schedule_;
-  const dag::WeightRealization& weights_;
-  const OnlinePolicy* policy_;         // nullptr = offline (static) execution
-  const FaultModel* faults_;           // nullptr = no fault layer
-  const RecoveryPolicy* recovery_;     // set whenever faults_ is
-  obs::EventBus* bus_;                 // nullptr = no observability
-  const bool obs_;                     // cached bus_ && bus_->enabled()
-  std::optional<FaultInjector> injector_;  // engaged only for an enabled model
+  obs::EventBus* const bus_;  // nullptr = no observability
   FluidNetwork fluid_;
 
+  // ---- per-run inputs (set by init) ----------------------------------------
+  const Schedule* schedule_ = nullptr;
+  const dag::WeightRealization* weights_ = nullptr;
+  const OnlinePolicy* policy_ = nullptr;      // nullptr = offline (static) execution
+  const FaultModel* faults_ = nullptr;        // nullptr = no fault layer
+  const RecoveryPolicy* recovery_ = nullptr;  // set whenever faults_ is
+  bool obs_ = false;                          // cached bus_ && bus_->enabled()
+  std::optional<FaultInjector> injector_;     // engaged only for an enabled model
+
   // Mutable mapping (seeded from schedule_, extended by migrations/recovery).
+  // plans_ and links_ are pools: only the first vms_.size() entries belong
+  // to the current run.
   std::vector<VmPlan> plans_;
+  std::vector<VmLinks> links_;
   std::vector<VmId> vm_of_;
 
   std::vector<VmState> vms_;
@@ -151,7 +188,12 @@ class Execution {
   std::vector<bool> download_enqueued_;    // per edge
   std::vector<TransferJob> jobs_;
   std::vector<std::size_t> flow_to_job_;  // FlowId -> job index
-  std::priority_queue<Event, std::vector<Event>, EventLater> events_;
+  std::vector<FlowId> completed_flows_;   // FluidNetwork::advance output
+  // recover_tasks scratch (it never re-enters itself).
+  std::vector<dag::TaskId> recovery_moved_;
+  std::vector<dag::TaskId> recovery_tail_;
+  std::vector<TransferJob> recovery_uploads_;
+  std::vector<Event> events_;             // binary heap ordered by EventLater
   std::uint64_t next_seq_ = 0;
   Seconds now_ = 0;
   std::size_t tasks_finished_ = 0;
@@ -168,7 +210,32 @@ class Execution {
 
   void push_event(Seconds time, Event::Kind kind, VmId vm, dag::TaskId task,
                   std::uint32_t epoch = 0, std::size_t job = 0) {
-    events_.push(Event{time, next_seq_++, kind, vm, task, epoch, job});
+    events_.push_back(Event{time, next_seq_++, kind, vm, task, epoch, job});
+    std::push_heap(events_.begin(), events_.end(), EventLater{});
+  }
+
+  Event pop_event() {
+    std::pop_heap(events_.begin(), events_.end(), EventLater{});
+    const Event event = events_.back();
+    events_.pop_back();
+    return event;
+  }
+
+  /// Appends a VM running \p tasks in order, reusing a pooled plan and link
+  /// queues when an earlier run left one at this index.
+  VmId add_vm(platform::CategoryId category, std::span<const dag::TaskId> tasks) {
+    const auto vm = static_cast<VmId>(vms_.size());
+    if (plans_.size() == vm) {
+      plans_.emplace_back();
+      links_.emplace_back();
+    }
+    plans_[vm].category = category;
+    plans_[vm].tasks.assign(tasks.begin(), tasks.end());
+    links_[vm].up.clear();
+    links_[vm].down.clear();
+    vms_.push_back(VmState{});
+    vms_.back().free_procs = platform_.category(category).processors;
+    return vm;
   }
 
   /// Observability emission.  Callers must test `obs_` *before* building the
@@ -204,7 +271,8 @@ class Execution {
 
   [[nodiscard]] InstrPerSec vm_speed(VmId vm) const { return vm_category(vm).speed; }
 
-  void init();
+  void init(const Schedule& schedule, const dag::WeightRealization& weights,
+            const OnlinePolicy* policy, const FaultModel* faults, const RecoveryPolicy* recovery);
   void main_loop();
   void request_boot(VmId vm);
   void maybe_request_boot(VmId vm);
@@ -232,24 +300,47 @@ class Execution {
   [[nodiscard]] SimResult finalize() const;
 };
 
-void Execution::init() {
-  schedule_.validate(wf_, platform_);
-  require(weights_.size() == wf_.task_count(),
+void Simulator::Engine::init(const Schedule& schedule, const dag::WeightRealization& weights,
+                             const OnlinePolicy* policy, const FaultModel* faults,
+                             const RecoveryPolicy* recovery) {
+  schedule.validate(wf_, platform_);
+  require(weights.size() == wf_.task_count(),
           "Simulator: weight realization size differs from workflow");
 
-  plans_.reserve(schedule_.vm_count() + 8);
+  // Reset every piece of run state; the containers keep their capacity.
+  schedule_ = &schedule;
+  weights_ = &weights;
+  policy_ = policy;
+  faults_ = faults;
+  recovery_ = recovery;
+  obs_ = bus_ != nullptr && bus_->enabled();
+  if (faults_ != nullptr && faults_->enabled())
+    injector_.emplace(*faults_);
+  else
+    injector_.reset();
+  fluid_.reset();
+  jobs_.clear();
+  flow_to_job_.clear();
+  events_.clear();
+  next_seq_ = 0;
+  now_ = 0;
+  tasks_finished_ = 0;
+  tasks_terminal_ = 0;
+  pending_retries_ = 0;
+  events_processed_ = 0;
+  transfers_done_ = 0;
+  transfer_bytes_ = 0;
+  migrations_ = 0;
+  stats_ = FaultStats{};
+
+  vms_.clear();
+  for (VmId v = 0; v < schedule.vm_count(); ++v)
+    add_vm(schedule.vm_category(v), schedule.vm_tasks(v));
   vm_of_.resize(wf_.task_count());
-  for (VmId v = 0; v < schedule_.vm_count(); ++v) {
-    const auto tasks = schedule_.vm_tasks(v);
-    plans_.push_back(VmPlan{schedule_.vm_category(v), {tasks.begin(), tasks.end()}});
-  }
-  for (dag::TaskId t = 0; t < wf_.task_count(); ++t) vm_of_[t] = schedule_.vm_of(t);
+  for (dag::TaskId t = 0; t < wf_.task_count(); ++t) vm_of_[t] = schedule.vm_of(t);
 
-  vms_.resize(plans_.size());
-  for (VmId v = 0; v < plans_.size(); ++v) vms_[v].free_procs = vm_category(v).processors;
-
-  tasks_.resize(wf_.task_count());
-  records_.resize(wf_.task_count());
+  tasks_.assign(wf_.task_count(), TaskState{});
+  records_.assign(wf_.task_count(), TaskRecord{});
   edge_at_dc_.assign(wf_.edge_count(), -1.0);
   edge_needs_transfer_.assign(wf_.edge_count(), false);
   download_enqueued_.assign(wf_.edge_count(), false);
@@ -273,7 +364,7 @@ void Execution::init() {
 
   if (obs_) {
     // The static placement, one dispatch per task in list order.
-    for (VmId v = 0; v < plans_.size(); ++v)
+    for (VmId v = 0; v < vms_.size(); ++v)
       for (dag::TaskId t : plans_[v].tasks)
         emit({.kind = obs::EventKind::task_dispatch,
               .time = now_,
@@ -284,10 +375,10 @@ void Execution::init() {
 
   // Book every VM whose first task already has its cross-VM inputs at the DC
   // (entry tasks: external inputs wait at the DC from time zero).
-  for (VmId v = 0; v < plans_.size(); ++v) maybe_request_boot(v);
+  for (VmId v = 0; v < vms_.size(); ++v) maybe_request_boot(v);
 }
 
-void Execution::request_boot(VmId vm) {
+void Simulator::Engine::request_boot(VmId vm) {
   VmState& state = vms_[vm];
   CLOUDWF_ASSERT(state.boot == BootState::unrequested && !state.dead);
   state.boot = BootState::booting;
@@ -302,7 +393,7 @@ void Execution::request_boot(VmId vm) {
           .detail = platform_.category(plans_[vm].category).name});
 }
 
-void Execution::maybe_request_boot(VmId vm) {
+void Simulator::Engine::maybe_request_boot(VmId vm) {
   VmState& state = vms_[vm];
   if (state.boot != BootState::unrequested || state.dead) return;
   // Boot gate: the first runnable task of the list must have its cross-VM
@@ -315,7 +406,7 @@ void Execution::maybe_request_boot(VmId vm) {
   }
 }
 
-void Execution::on_boot_done(VmId vm) {
+void Simulator::Engine::on_boot_done(VmId vm) {
   VmState& state = vms_[vm];
   if (injector_ && injector_->boot_fails()) {
     ++stats_.boot_failures;
@@ -369,7 +460,7 @@ void Execution::on_boot_done(VmId vm) {
   try_start_tasks(vm);
 }
 
-void Execution::enqueue_job(TransferJob job) {
+void Simulator::Engine::enqueue_job(TransferJob job) {
   const bool is_upload = job.kind == JobKind::edge_upload || job.kind == JobKind::ext_output_upload;
   if (job.bytes <= 0) {
     // Zero-byte data is instantaneous; dispatch inline (and below the fault
@@ -381,18 +472,17 @@ void Execution::enqueue_job(TransferJob job) {
     return;
   }
   jobs_.push_back(job);
-  VmState& state = vms_[job.vm];
-  (is_upload ? state.queue_up : state.queue_down).push_back(jobs_.size() - 1);
+  VmLinks& links = links_[job.vm];
+  (is_upload ? links.up : links.down).push_back(jobs_.size() - 1);
   pump_link(job.vm, is_upload ? Direction::upload : Direction::download);
 }
 
-void Execution::pump_link(VmId vm, Direction dir) {
+void Simulator::Engine::pump_link(VmId vm, Direction dir) {
   VmState& state = vms_[vm];
-  auto& queue = dir == Direction::upload ? state.queue_up : state.queue_down;
+  LinkQueue& queue = dir == Direction::upload ? links_[vm].up : links_[vm].down;
   bool& busy = dir == Direction::upload ? state.uplink_busy : state.downlink_busy;
   if (busy || queue.empty()) return;
-  const std::size_t job_index = queue.front();
-  queue.pop_front();
+  const std::size_t job_index = queue.pop_front();
   busy = true;
   TransferJob& job = jobs_[job_index];
   job.started = now_;
@@ -409,7 +499,7 @@ void Execution::pump_link(VmId vm, Direction dir) {
           .value = job.bytes});
 }
 
-void Execution::on_flow_complete(FlowId flow) {
+void Simulator::Engine::on_flow_complete(FlowId flow) {
   const std::size_t job_index = flow_to_job_[flow];
   const TransferJob job = jobs_[job_index];
   VmState& state = vms_[job.vm];
@@ -481,7 +571,7 @@ void Execution::on_flow_complete(FlowId flow) {
     on_download_done(job);
 }
 
-void Execution::on_transfer_retry(std::size_t job_index) {
+void Simulator::Engine::on_transfer_retry(std::size_t job_index) {
   --pending_retries_;
   const TransferJob& job = jobs_[job_index];
   const bool is_upload = job.kind == JobKind::edge_upload || job.kind == JobKind::ext_output_upload;
@@ -491,12 +581,12 @@ void Execution::on_transfer_retry(std::size_t job_index) {
   } else {
     if (vm_of_[job.task] != job.vm || tasks_[job.task].failed) return;  // stale
   }
-  VmState& state = vms_[job.vm];
-  (is_upload ? state.queue_up : state.queue_down).push_back(job_index);
+  VmLinks& links = links_[job.vm];
+  (is_upload ? links.up : links.down).push_back(job_index);
   pump_link(job.vm, is_upload ? Direction::upload : Direction::download);
 }
 
-void Execution::abort_transfer(const TransferJob& job) {
+void Simulator::Engine::abort_transfer(const TransferJob& job) {
   switch (job.kind) {
     case JobKind::edge_upload:
       fail_task(wf_.edge(job.edge).dst);  // its input can never arrive
@@ -511,7 +601,7 @@ void Execution::abort_transfer(const TransferJob& job) {
   }
 }
 
-void Execution::fail_task(dag::TaskId task) {
+void Simulator::Engine::fail_task(dag::TaskId task) {
   TaskState& ts = tasks_[task];
   if (ts.failed) return;
   ts.failed = true;
@@ -539,7 +629,7 @@ void Execution::fail_task(dag::TaskId task) {
   }
 }
 
-void Execution::on_upload_done(const TransferJob& job) {
+void Simulator::Engine::on_upload_done(const TransferJob& job) {
   if (job.kind == JobKind::ext_output_upload) return;  // data now at DC for the user
 
   const dag::EdgeId e = job.edge;
@@ -561,7 +651,7 @@ void Execution::on_upload_done(const TransferJob& job) {
   }
 }
 
-void Execution::on_download_done(const TransferJob& job) {
+void Simulator::Engine::on_download_done(const TransferJob& job) {
   const dag::TaskId task = job.task;
   TaskState& ts = tasks_[task];
   if (ts.failed) return;
@@ -573,7 +663,7 @@ void Execution::on_download_done(const TransferJob& job) {
   try_start_tasks(job.vm);
 }
 
-void Execution::try_start_tasks(VmId vm) {
+void Simulator::Engine::try_start_tasks(VmId vm) {
   VmState& state = vms_[vm];
   if (state.boot != BootState::up || state.dead) return;
   const auto& plan = plans_[vm].tasks;
@@ -594,7 +684,7 @@ void Execution::try_start_tasks(VmId vm) {
     --state.free_procs;
     ++state.next_start_idx;
     gate_update(t, state.boot_done, dag::invalid_task);
-    const Seconds duration = weights_[t] / vm_speed(vm);
+    const Seconds duration = (*weights_)[t] / vm_speed(vm);
     records_[t].start = now_;
     records_[t].finish = now_ + duration;
     records_[t].bound_by = ts.gate_task;
@@ -625,7 +715,7 @@ void Execution::try_start_tasks(VmId vm) {
   }
 }
 
-void Execution::on_task_done(VmId vm, dag::TaskId task) {
+void Simulator::Engine::on_task_done(VmId vm, dag::TaskId task) {
   VmState& state = vms_[vm];
   TaskState& ts = tasks_[task];
   ts.finished = true;
@@ -663,7 +753,7 @@ void Execution::on_task_done(VmId vm, dag::TaskId task) {
   try_start_tasks(vm);
 }
 
-Dollars Execution::committed_vm_cost() const {
+Dollars Simulator::Engine::committed_vm_cost() const {
   // Billed time so far plus setups of all booked VMs (the spend guard of the
   // online policy and of fault recovery; datacenter charges are not included
   // — they are small and budget reservations already cover them).
@@ -683,7 +773,7 @@ Dollars Execution::committed_vm_cost() const {
   return committed;
 }
 
-void Execution::on_timeout(VmId vm, dag::TaskId task) {
+void Simulator::Engine::on_timeout(VmId vm, dag::TaskId task) {
   const TaskState& ts = tasks_[task];
   if (ts.finished || !ts.started || vm_of_[task] != vm) return;  // raced with completion
   CLOUDWF_ASSERT(policy_ != nullptr);
@@ -707,7 +797,7 @@ void Execution::on_timeout(VmId vm, dag::TaskId task) {
   migrate(vm, task);
 }
 
-void Execution::interrupt_running(VmId vm, dag::TaskId task) {
+void Simulator::Engine::interrupt_running(VmId vm, dag::TaskId task) {
   TaskState& ts = tasks_[task];
   VmState& state = vms_[vm];
   // Drop the pending task_done (and timeout) events by bumping the epoch;
@@ -721,7 +811,7 @@ void Execution::interrupt_running(VmId vm, dag::TaskId task) {
   state.busy += now_ - records_[task].start;
 }
 
-void Execution::migrate(VmId from, dag::TaskId task) {
+void Simulator::Engine::migrate(VmId from, dag::TaskId task) {
   TaskState& ts = tasks_[task];
   VmState& old_state = vms_[from];
 
@@ -731,11 +821,7 @@ void Execution::migrate(VmId from, dag::TaskId task) {
   ++migrations_;
 
   // Provision the rescue VM (fastest category, this task only).
-  const platform::CategoryId fastest = platform_.fastest_category();
-  const VmId rescue = static_cast<VmId>(plans_.size());
-  plans_.push_back(VmPlan{fastest, {task}});
-  vms_.emplace_back();
-  vms_.back().free_procs = platform_.category(fastest).processors;
+  const VmId rescue = add_vm(platform_.fastest_category(), std::span(&task, 1));
   vm_of_[task] = rescue;
   records_[task].vm = rescue;
   if (obs_)
@@ -785,7 +871,7 @@ void Execution::migrate(VmId from, dag::TaskId task) {
   try_start_tasks(from);
 }
 
-void Execution::on_crash(VmId vm) {
+void Simulator::Engine::on_crash(VmId vm) {
   VmState& state = vms_[vm];
   if (state.dead || state.boot != BootState::up) return;
   // A crash only matters while the VM still owes work; afterwards the VM is
@@ -810,7 +896,7 @@ void Execution::on_crash(VmId vm) {
   recover_tasks(vm, /*allow_provisioning=*/true);
 }
 
-void Execution::abandon_boot(VmId vm) {
+void Simulator::Engine::abandon_boot(VmId vm) {
   // Provisioning retries exhausted.  Nothing was ever billed (the VM never
   // came up); re-home its tasks without provisioning a replacement — the
   // boot retries *were* the re-provisioning attempts for this placement.
@@ -818,7 +904,7 @@ void Execution::abandon_boot(VmId vm) {
   recover_tasks(vm, /*allow_provisioning=*/false);
 }
 
-void Execution::recover_tasks(VmId from, bool allow_provisioning) {
+void Simulator::Engine::recover_tasks(VmId from, bool allow_provisioning) {
   // 1. Interrupt whatever was running; bounded re-executions per task.
   for (dag::TaskId t : plans_[from].tasks) {
     if (vm_of_[t] != from) continue;
@@ -832,7 +918,8 @@ void Execution::recover_tasks(VmId from, bool allow_provisioning) {
   }
 
   // 2. Everything not finished (and not failed) must find a new home.
-  std::vector<dag::TaskId> pending;
+  std::vector<dag::TaskId>& pending = recovery_moved_;
+  pending.clear();
   for (dag::TaskId t : plans_[from].tasks)
     if (vm_of_[t] == from && !tasks_[t].finished && !tasks_[t].failed) pending.push_back(t);
   if (pending.empty()) return;
@@ -854,10 +941,7 @@ void Execution::recover_tasks(VmId from, bool allow_provisioning) {
       stats_.degraded = true;
   }
   if (fresh) {
-    target = static_cast<VmId>(plans_.size());
-    plans_.push_back(VmPlan{plans_[from].category, pending});
-    vms_.emplace_back();
-    vms_.back().free_procs = vm_category(target).processors;
+    target = add_vm(plans_[from].category, pending);
     vms_.back().recovery_vm = true;
   } else {
     // Survivor with the least pending work (ties to the lowest id).
@@ -905,10 +989,11 @@ void Execution::recover_tasks(VmId from, bool allow_provisioning) {
     // topological, which guarantees exactly that.
     auto& plan = plans_[target].tasks;
     const auto head = static_cast<std::ptrdiff_t>(vms_[target].next_start_idx);
-    std::vector<dag::TaskId> tail(plan.begin() + head, plan.end());
+    std::vector<dag::TaskId>& tail = recovery_tail_;
+    tail.assign(plan.begin() + head, plan.end());
     tail.insert(tail.end(), pending.begin(), pending.end());
     std::stable_sort(tail.begin(), tail.end(), [this](dag::TaskId a, dag::TaskId b) {
-      return schedule_.priority(a) > schedule_.priority(b);
+      return schedule_->priority(a) > schedule_->priority(b);
     });
     plan.resize(static_cast<std::size_t>(head));
     plan.insert(plan.end(), tail.begin(), tail.end());
@@ -917,12 +1002,13 @@ void Execution::recover_tasks(VmId from, bool allow_provisioning) {
   // 4. Re-stage inputs.  Uploads are collected first and enqueued only after
   //    every counter is rebuilt: zero-byte jobs dispatch inline and could
   //    otherwise start a task whose pending-input counts are half-built.
-  std::vector<TransferJob> uploads;
+  std::vector<TransferJob>& uploads = recovery_uploads_;
+  uploads.clear();
   for (dag::TaskId t : pending) restage_task(t, uploads);
 
   // 5. Queued downloads of the dead host are void (in-flight ones are
   //    discarded on completion).
-  std::erase_if(vms_[from].queue_down, [this, from](std::size_t ji) {
+  links_[from].down.erase_if([this, from](std::size_t ji) {
     const TransferJob& j = jobs_[ji];
     return vm_of_[j.task] != from || tasks_[j.task].failed;
   });
@@ -936,7 +1022,7 @@ void Execution::recover_tasks(VmId from, bool allow_provisioning) {
   // A still-booting survivor picks the moved tasks up in its boot scan.
 }
 
-void Execution::restage_task(dag::TaskId task, std::vector<TransferJob>& uploads) {
+void Simulator::Engine::restage_task(dag::TaskId task, std::vector<TransferJob>& uploads) {
   TaskState& ts = tasks_[task];
   ts.remote_in_pending = 0;
   ts.local_in_pending = 0;
@@ -973,7 +1059,7 @@ void Execution::restage_task(dag::TaskId task, std::vector<TransferJob>& uploads
   }
 }
 
-void Execution::enqueue_moved_downloads(VmId vm, const std::vector<dag::TaskId>& moved) {
+void Simulator::Engine::enqueue_moved_downloads(VmId vm, const std::vector<dag::TaskId>& moved) {
   for (dag::TaskId t : moved) {
     if (vm_of_[t] != vm || tasks_[t].failed) continue;
     if (wf_.external_input_of(t) > 0)
@@ -988,29 +1074,30 @@ void Execution::enqueue_moved_downloads(VmId vm, const std::vector<dag::TaskId>&
   }
 }
 
-void Execution::main_loop() {
+void Simulator::Engine::main_loop() {
   const obs::ProfileScope scope("sim.event_loop");
   while (tasks_terminal_ < wf_.task_count() || fluid_.active_count() > 0 ||
          pending_retries_ > 0) {
     const Seconds flow_time = fluid_.next_completion();
-    const Seconds event_time = events_.empty() ? infinity : events_.top().time;
+    const Seconds event_time = events_.empty() ? infinity : events_.front().time;
     if (flow_time == infinity && event_time == infinity) {
       if (tasks_terminal_ < wf_.task_count()) report_deadlock();
       break;
     }
     if (flow_time <= event_time) {
       now_ = flow_time;
-      for (FlowId flow : fluid_.advance(now_)) {
+      fluid_.advance(now_, completed_flows_);
+      for (FlowId flow : completed_flows_) {
         ++events_processed_;
         on_flow_complete(flow);
       }
     } else {
-      const Event event = events_.top();
-      events_.pop();
+      const Event event = pop_event();
       now_ = event.time;
       ++events_processed_;
       // Keep the fluid clock in sync so rates stay correct.
-      for (FlowId flow : fluid_.advance(now_)) {
+      fluid_.advance(now_, completed_flows_);
+      for (FlowId flow : completed_flows_) {
         ++events_processed_;
         on_flow_complete(flow);
       }
@@ -1029,7 +1116,7 @@ void Execution::main_loop() {
   }
 }
 
-void Execution::report_deadlock() const {
+void Simulator::Engine::report_deadlock() const {
   std::ostringstream os;
   os << "Simulator: schedule deadlocked in workflow '" << wf_.name() << "'; stuck tasks:";
   for (dag::TaskId t = 0; t < wf_.task_count(); ++t) {
@@ -1041,7 +1128,7 @@ void Execution::report_deadlock() const {
   throw ValidationError(os.str());
 }
 
-SimResult Execution::finalize() const {
+SimResult Simulator::Engine::finalize() const {
   SimResult result;
   result.tasks = records_;
   result.vms.resize(vms_.size());
@@ -1131,13 +1218,17 @@ SimResult Execution::finalize() const {
   return result;
 }
 
-SimResult Execution::run() {
-  init();
+SimResult Simulator::Engine::run(const Schedule& schedule, const dag::WeightRealization& weights,
+                                 const OnlinePolicy* policy, const FaultModel* faults,
+                                 const RecoveryPolicy* recovery) {
+  init(schedule, weights, policy, faults, recovery);
   main_loop();
   SimResult result = finalize();
   if (obs_) bus_->flush();
   return result;
 }
+
+namespace {
 
 /// Process-wide post-run hook (see simulator.hpp).  Relaxed ordering is
 /// enough: installation happens once at startup, before any simulation.
@@ -1158,44 +1249,46 @@ PostRunCheck post_run_check() noexcept {
 
 Simulator::Simulator(const dag::Workflow& wf, const platform::Platform& platform,
                      obs::EventBus* bus)
-    : wf_(wf), platform_(platform), bus_(bus) {
+    : wf_(wf), platform_(platform) {
   require(wf.frozen(), "Simulator: workflow must be frozen");
+  engine_ = std::make_unique<Engine>(wf_, platform_, bus);
 }
 
-SimResult Simulator::run(const Schedule& schedule, const dag::WeightRealization& weights) const {
-  Execution execution(wf_, platform_, schedule, weights, nullptr, nullptr, nullptr, bus_);
-  const SimResult result = execution.run();
+Simulator::~Simulator() = default;
+
+SimResult Simulator::checked_run(const Schedule& schedule, const dag::WeightRealization& weights,
+                                 const OnlinePolicy* policy, const FaultModel* faults,
+                                 const RecoveryPolicy* recovery) {
+  SimResult result = engine_->run(schedule, weights, policy, faults, recovery);
   if (const PostRunCheck hook = post_run_check()) hook(wf_, platform_, schedule, result);
   return result;
+}
+
+SimResult Simulator::run(const Schedule& schedule, const dag::WeightRealization& weights) {
+  return checked_run(schedule, weights, nullptr, nullptr, nullptr);
 }
 
 SimResult Simulator::run_online(const Schedule& schedule, const dag::WeightRealization& weights,
-                                const OnlinePolicy& policy) const {
+                                const OnlinePolicy& policy) {
   require(policy.timeout_sigmas >= 0, "run_online: negative timeout_sigmas");
   require(policy.min_speedup >= 1.0, "run_online: min_speedup must be >= 1");
-  Execution execution(wf_, platform_, schedule, weights, &policy, nullptr, nullptr, bus_);
-  const SimResult result = execution.run();
-  if (const PostRunCheck hook = post_run_check()) hook(wf_, platform_, schedule, result);
-  return result;
+  return checked_run(schedule, weights, &policy, nullptr, nullptr);
 }
 
 SimResult Simulator::run_with_faults(const Schedule& schedule,
                                      const dag::WeightRealization& weights,
-                                     const FaultModel& faults,
-                                     const RecoveryPolicy& recovery) const {
+                                     const FaultModel& faults, const RecoveryPolicy& recovery) {
   faults.validate();
   recovery.validate();
-  Execution execution(wf_, platform_, schedule, weights, nullptr, &faults, &recovery, bus_);
-  const SimResult result = execution.run();
-  if (const PostRunCheck hook = post_run_check()) hook(wf_, platform_, schedule, result);
-  return result;
+  return checked_run(schedule, weights, nullptr, &faults, &recovery);
 }
 
-SimResult Simulator::run_conservative(const Schedule& schedule) const {
-  return run(schedule, dag::conservative_weights(wf_));
+SimResult Simulator::run_conservative(const Schedule& schedule) {
+  if (!conservative_) conservative_ = dag::conservative_weights(wf_);
+  return run(schedule, *conservative_);
 }
 
-SimResult Simulator::run_mean(const Schedule& schedule) const {
+SimResult Simulator::run_mean(const Schedule& schedule) {
   return run(schedule, dag::mean_weights(wf_));
 }
 

@@ -27,6 +27,8 @@
 /// run it with dag::conservative_weights(wf).
 
 #include <limits>
+#include <memory>
+#include <optional>
 
 #include "dag/stochastic.hpp"
 #include "dag/workflow.hpp"
@@ -63,6 +65,18 @@ struct OnlinePolicy {
 };
 
 /// Executes schedules for one (workflow, platform) pair.
+///
+/// A Simulator owns the execution state of its runs: the mutable VM plans,
+/// per-VM and per-task state, the event heap, the transfer jobs and link
+/// queues, the fluid network and the conservative weights.  Each run* call
+/// resets that state in place instead of rebuilding it, so a refinement
+/// sweep that re-simulates one schedule per candidate allocates only what
+/// it returns once the first run has sized the buffers.  The state lives as
+/// long as the Simulator and is freed with it; results never alias it.
+///
+/// One Simulator serves one thread: the run* methods mutate the owned
+/// state, so concurrent runs need one Simulator each (they are cheap to
+/// construct and may share the workflow and platform).
 class Simulator {
  public:
   /// Both references must outlive the simulator.  When \p bus is non-null
@@ -72,16 +86,18 @@ class Simulator {
   /// measures).
   Simulator(const dag::Workflow& wf, const platform::Platform& platform,
             obs::EventBus* bus = nullptr);
+  ~Simulator();
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
   /// Runs \p schedule with concrete \p weights.
   /// Throws ValidationError if the schedule is malformed or deadlocks.
-  [[nodiscard]] SimResult run(const Schedule& schedule,
-                              const dag::WeightRealization& weights) const;
+  [[nodiscard]] SimResult run(const Schedule& schedule, const dag::WeightRealization& weights);
 
   /// Runs \p schedule with the online re-scheduling \p policy active.
   [[nodiscard]] SimResult run_online(const Schedule& schedule,
                                      const dag::WeightRealization& weights,
-                                     const OnlinePolicy& policy) const;
+                                     const OnlinePolicy& policy);
 
   /// Runs \p schedule while injecting faults from \p faults and recovering
   /// per \p recovery (see faults.hpp).  With a disabled model (all rates
@@ -90,22 +106,31 @@ class Simulator {
   [[nodiscard]] SimResult run_with_faults(const Schedule& schedule,
                                           const dag::WeightRealization& weights,
                                           const FaultModel& faults,
-                                          const RecoveryPolicy& recovery = {}) const;
+                                          const RecoveryPolicy& recovery = {});
 
   /// Convenience: run with conservative (mu + sigma) weights — the
-  /// deterministic predictor used by HEFTBUDG+/CG+ (Algorithm 5).
-  [[nodiscard]] SimResult run_conservative(const Schedule& schedule) const;
+  /// deterministic predictor used by HEFTBUDG+/CG+ (Algorithm 5).  The
+  /// weights are built on the first call and kept for the next ones.
+  [[nodiscard]] SimResult run_conservative(const Schedule& schedule);
 
   /// Convenience: run with mean weights.
-  [[nodiscard]] SimResult run_mean(const Schedule& schedule) const;
+  [[nodiscard]] SimResult run_mean(const Schedule& schedule);
 
   [[nodiscard]] const dag::Workflow& workflow() const { return wf_; }
   [[nodiscard]] const platform::Platform& platform() const { return platform_; }
 
  private:
+  class Engine;
+
+  [[nodiscard]] SimResult checked_run(const Schedule& schedule,
+                                      const dag::WeightRealization& weights,
+                                      const OnlinePolicy* policy, const FaultModel* faults,
+                                      const RecoveryPolicy* recovery);
+
   const dag::Workflow& wf_;
   const platform::Platform& platform_;
-  obs::EventBus* bus_;
+  std::unique_ptr<Engine> engine_;
+  std::optional<dag::WeightRealization> conservative_;
 };
 
 /// Extracts the schedule's critical path from a SimResult: the chain of

@@ -43,7 +43,7 @@ void golden_family(pegasus::WorkflowType type) {
 
   for (const std::string& algorithm : sched::algorithm_names()) {
     const auto out = sched::make_scheduler(algorithm)->schedule({wf, cloud, levels.medium});
-    const sim::Simulator simulator(wf, cloud);
+    sim::Simulator simulator(wf, cloud);
 
     CheckOptions options;
     if (sched::is_budget_aware(algorithm) && out.budget_feasible)
@@ -86,7 +86,7 @@ class CorruptedResult : public ::testing::Test {
     schedule_->assign(wf_.find_task("B"), vm0);
     schedule_->assign(wf_.find_task("D"), vm0);
     schedule_->assign(wf_.find_task("C"), vm1);
-    const sim::Simulator simulator(wf_, platform_);
+    sim::Simulator simulator(wf_, platform_);
     result_ = simulator.run_mean(*schedule_);
     const InvariantChecker checker(wf_, platform_);
     ASSERT_TRUE(checker.check(*schedule_, result_).ok())
@@ -241,7 +241,7 @@ TEST_F(CorruptedResult, LiveEventStreamSatisfiesContract) {
   Recorder recorder;
   obs::EventBus bus;
   bus.add_sink(&recorder);
-  const sim::Simulator traced(wf_, platform_, &bus);
+  sim::Simulator traced(wf_, platform_, &bus);
   (void)traced.run_mean(*schedule_);
   ASSERT_FALSE(recorder.events.empty());
   const CheckReport report = check_events(recorder.events);
@@ -361,7 +361,7 @@ TEST(AutoCheck, HookValidatesEveryRun) {
   for (const dag::TaskId t : wf.topological_order()) schedule.assign(t, vm);
   // A healthy engine passes its own audit; the hook throwing here would be
   // an engine bug, which is exactly the point of CLOUDWF_CHECK=1.
-  const sim::Simulator simulator(wf, cloud);
+  sim::Simulator simulator(wf, cloud);
   EXPECT_NO_THROW((void)simulator.run_mean(schedule));
   uninstall_auto_check();
   EXPECT_FALSE(auto_check_installed());

@@ -93,7 +93,7 @@ TEST_P(FuzzTest, RandomScheduleInvariantsHold) {
 
   const sim::Schedule schedule = random_schedule(wf, platform, rng);
   schedule.validate(wf, platform);
-  const sim::Simulator simulator(wf, platform);
+  sim::Simulator simulator(wf, platform);
 
   Rng weight_rng = rng.fork(1);
   const dag::WeightRealization weights = dag::sample_weights(wf, weight_rng);
@@ -116,7 +116,7 @@ TEST_P(FuzzTest, RandomScheduleInvariantsHoldOnline) {
   const platform::Platform platform = platform::paper_platform();
 
   const sim::Schedule schedule = random_schedule(wf, platform, rng);
-  const sim::Simulator simulator(wf, platform);
+  sim::Simulator simulator(wf, platform);
   Rng weight_rng = rng.fork(2);
   const dag::WeightRealization weights = dag::sample_weights(wf, weight_rng);
 
@@ -197,7 +197,7 @@ TEST_P(FuzzTest, FaultInjectionInvariantsHold) {
   const platform::Platform platform = platform::paper_platform();
 
   const sim::Schedule schedule = random_schedule(wf, platform, rng);
-  const sim::Simulator simulator(wf, platform);
+  sim::Simulator simulator(wf, platform);
   Rng weight_rng = rng.fork(4);
   const dag::WeightRealization weights = dag::sample_weights(wf, weight_rng);
 

@@ -79,7 +79,7 @@ std::vector<Event> record_diamond_run() {
   static RecordingSink sink;  // outlives the assertion helpers below
   sink.clear();
   bus.add_sink(&sink);
-  const sim::Simulator simulator(wf, platform, &bus);
+  sim::Simulator simulator(wf, platform, &bus);
   const sim::SimResult result = simulator.run_mean(schedule);
   EXPECT_GT(result.events_processed, 0u);
   EXPECT_EQ(bus.emitted(), sink.events().size());

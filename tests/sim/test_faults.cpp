@@ -123,7 +123,7 @@ TEST(Faults, DisabledModelMatchesPlainRunBitForBit) {
   Rng rng(11);
   const dag::WeightRealization weights = dag::sample_weights(wf, rng);
 
-  const Simulator sim(wf, platform);
+  Simulator sim(wf, platform);
   const SimResult plain = sim.run(out.schedule, weights);
   const SimResult faulty = sim.run_with_faults(out.schedule, weights, FaultModel{});
 
@@ -401,7 +401,7 @@ TEST(Faults, SameSeedGivesBitIdenticalResults) {
   model.p_transfer_fail = 0.05;
   model.p_boot_fail = 0.1;
 
-  const Simulator sim(wf, platform);
+  Simulator sim(wf, platform);
   const SimResult a = sim.run_with_faults(out.schedule, weights, model);
   const SimResult b = sim.run_with_faults(out.schedule, weights, model);
 
@@ -425,7 +425,7 @@ TEST(Faults, InvalidModelRejectedAtRunTime) {
   const auto wf = one_task();
   const auto platform = testing::mono_platform();
   const auto schedule = single_vm_schedule(wf);
-  const Simulator sim(wf, platform);
+  Simulator sim(wf, platform);
   FaultModel bad;
   bad.p_boot_fail = 1.5;
   EXPECT_THROW(

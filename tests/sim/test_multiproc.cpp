@@ -146,7 +146,7 @@ TEST(QuantizedBilling, HourlyBillingPenalizesManyVms) {
   Schedule spread(2);
   spread.assign(0, spread.add_vm(0));
   spread.assign(1, spread.add_vm(0));
-  const Simulator sim(wf, hourly);
+  Simulator sim(wf, hourly);
   EXPECT_DOUBLE_EQ(sim.run_mean(shared).cost.vm_time, 3600.0);
   EXPECT_DOUBLE_EQ(sim.run_mean(spread).cost.vm_time, 7200.0);
 }

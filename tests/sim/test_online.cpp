@@ -200,7 +200,7 @@ TEST(Online, DeterministicAcrossRuns) {
   const auto out = sched::make_scheduler("heft-budg")->schedule({wf, platform, 3.0});
   Rng rng1(5);
   Rng rng2(5);
-  const Simulator sim(wf, platform);
+  Simulator sim(wf, platform);
   const SimResult a = sim.run_online(out.schedule, dag::sample_weights(wf, rng1), {});
   const SimResult b = sim.run_online(out.schedule, dag::sample_weights(wf, rng2), {});
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
@@ -221,7 +221,7 @@ TEST(Online, HighUncertaintyWorkflowStaysSoundUnderMigrations) {
   const auto out =
       sched::make_scheduler("heft-budg")->schedule({wf, platform, 1.05 * levels.min_cost});
 
-  const Simulator sim(wf, platform);
+  Simulator sim(wf, platform);
   double offline_total = 0;
   double online_total = 0;
   std::size_t total_migrations = 0;
@@ -244,7 +244,7 @@ TEST(Online, HighUncertaintyWorkflowStaysSoundUnderMigrations) {
 TEST(Online, InvalidPolicyRejected) {
   TailScenario s;
   const auto platform = testing::toy_platform();
-  const Simulator sim(s.wf, platform);
+  Simulator sim(s.wf, platform);
   OnlinePolicy negative;
   negative.timeout_sigmas = -1.0;
   EXPECT_THROW((void)sim.run_online(s.schedule, s.weights, negative), InvalidArgument);

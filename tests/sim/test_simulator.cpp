@@ -10,10 +10,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "dag/stochastic.hpp"
+#include "exp/budget_levels.hpp"
+#include "pegasus/generator.hpp"
+#include "sched/registry.hpp"
 #include "sim/trace.hpp"
 #include "testing/helpers.hpp"
 
@@ -29,7 +36,7 @@ TEST(Simulator, ChainOnSingleVmTimesExactly) {
   const VmId vm = s.add_vm(0);
   for (TaskId t : wf.topological_order()) s.assign(t, vm);
 
-  const Simulator sim(wf, platform);
+  Simulator sim(wf, platform);
   const SimResult r = sim.run_mean(s);
 
   // boot 0..10, A 10..110, B 110..310, C 310..710; no transfers.
@@ -68,7 +75,7 @@ TEST(Simulator, DiamondAcrossTwoVmsTimesExactly) {
   s.assign(d, vm0);
   s.assign(c, vm1);
 
-  const Simulator sim(wf, platform);
+  Simulator sim(wf, platform);
   const SimResult r = sim.run_mean(s);
 
   // vm0: boot 0..10; ext-input download 10..14; A 14..114.
@@ -112,7 +119,7 @@ TEST(Simulator, SameVmDataIsFree) {
   Schedule s(4);
   const VmId vm = s.add_vm(1);  // everything on one fast VM
   for (TaskId t : wf.topological_order()) s.assign(t, vm);
-  const Simulator sim(wf, platform);
+  Simulator sim(wf, platform);
   const SimResult r = sim.run_mean(s);
   // Only the external input (4 s) and output (2 s) are transferred.
   EXPECT_EQ(r.transfers.count, 2u);
@@ -128,7 +135,7 @@ TEST(Simulator, StochasticWeightsChangeMakespanDeterministically) {
   Schedule s(4);
   const VmId vm = s.add_vm(0);
   for (TaskId t : wf.topological_order()) s.assign(t, vm);
-  const Simulator sim(wf, platform);
+  Simulator sim(wf, platform);
 
   Rng rng1(99);
   Rng rng2(99);
@@ -147,7 +154,7 @@ TEST(Simulator, ConservativeRunUsesMuPlusSigma) {
   Schedule s(4);
   const VmId vm = s.add_vm(0);
   for (TaskId t : wf.topological_order()) s.assign(t, vm);
-  const Simulator sim(wf, platform);
+  Simulator sim(wf, platform);
   const SimResult mean = sim.run_mean(s);
   const SimResult conservative = sim.run_conservative(s);
   // Compute doubles (700 -> 1400); transfers unchanged.
@@ -163,7 +170,7 @@ TEST(Simulator, ListOrderGatesExecution) {
   s.set_priority(1, 2.0);  // B runs first
   s.assign(0, vm);
   s.assign(1, vm);
-  const Simulator sim(wf, platform);
+  Simulator sim(wf, platform);
   const SimResult r = sim.run_mean(s);
   EXPECT_DOUBLE_EQ(r.tasks[1].start, 10.0);
   EXPECT_DOUBLE_EQ(r.tasks[0].start, 110.0);
@@ -192,7 +199,7 @@ TEST(Simulator, CrossVmDeadlockDetected) {
   s.assign(t3, vm1);  // vm1: [T3, T4]
   s.assign(t4, vm1);
 
-  const Simulator sim(wf, platform);
+  Simulator sim(wf, platform);
   EXPECT_THROW((void)sim.run_mean(s), ValidationError);
 }
 
@@ -250,7 +257,7 @@ TEST(Simulator, WeightSizeMismatchRejected) {
   const VmId vm = s.add_vm(0);
   s.assign(0, vm);
   s.assign(1, vm);
-  const Simulator sim(wf, platform);
+  Simulator sim(wf, platform);
   EXPECT_THROW((void)sim.run(s, dag::WeightRealization({1.0})), InvalidArgument);
 }
 
@@ -331,6 +338,172 @@ TEST(Simulator, UnfrozenWorkflowRejected) {
   wf.add_task("A", 1, 0);
   const auto platform = testing::toy_platform();
   EXPECT_THROW(Simulator(wf, platform), InvalidArgument);
+}
+
+// ---- one Simulator, many runs ----------------------------------------------
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// Every field of \p reused equals \p fresh bit for bit.
+void expect_identical(const SimResult& reused, const SimResult& fresh) {
+  EXPECT_EQ(bits(reused.start_first), bits(fresh.start_first));
+  EXPECT_EQ(bits(reused.end_last), bits(fresh.end_last));
+  EXPECT_EQ(bits(reused.makespan), bits(fresh.makespan));
+  EXPECT_EQ(bits(reused.cost.vm_time), bits(fresh.cost.vm_time));
+  EXPECT_EQ(bits(reused.cost.vm_setup), bits(fresh.cost.vm_setup));
+  EXPECT_EQ(bits(reused.cost.dc_time), bits(fresh.cost.dc_time));
+  EXPECT_EQ(bits(reused.cost.dc_transfer), bits(fresh.cost.dc_transfer));
+  EXPECT_EQ(reused.used_vms, fresh.used_vms);
+  ASSERT_EQ(reused.tasks.size(), fresh.tasks.size());
+  for (TaskId t = 0; t < fresh.tasks.size(); ++t) {
+    const TaskRecord& a = reused.tasks[t];
+    const TaskRecord& b = fresh.tasks[t];
+    EXPECT_EQ(a.vm, b.vm) << "task " << t;
+    EXPECT_EQ(bits(a.inputs_at_dc), bits(b.inputs_at_dc)) << "task " << t;
+    EXPECT_EQ(bits(a.start), bits(b.start)) << "task " << t;
+    EXPECT_EQ(bits(a.finish), bits(b.finish)) << "task " << t;
+    EXPECT_EQ(a.restarts, b.restarts) << "task " << t;
+    EXPECT_EQ(a.failed, b.failed) << "task " << t;
+    EXPECT_EQ(a.bound_by, b.bound_by) << "task " << t;
+  }
+  ASSERT_EQ(reused.vms.size(), fresh.vms.size());
+  for (VmId v = 0; v < fresh.vms.size(); ++v) {
+    const VmRecord& a = reused.vms[v];
+    const VmRecord& b = fresh.vms[v];
+    EXPECT_EQ(a.category, b.category) << "vm " << v;
+    EXPECT_EQ(bits(a.boot_request), bits(b.boot_request)) << "vm " << v;
+    EXPECT_EQ(bits(a.boot_done), bits(b.boot_done)) << "vm " << v;
+    EXPECT_EQ(bits(a.end), bits(b.end)) << "vm " << v;
+    EXPECT_EQ(bits(a.busy), bits(b.busy)) << "vm " << v;
+    EXPECT_EQ(a.task_count, b.task_count) << "vm " << v;
+    EXPECT_EQ(a.boot_attempts, b.boot_attempts) << "vm " << v;
+    EXPECT_EQ(a.crashed, b.crashed) << "vm " << v;
+    EXPECT_EQ(a.recovery, b.recovery) << "vm " << v;
+    EXPECT_EQ(a.billed, b.billed) << "vm " << v;
+  }
+  EXPECT_EQ(reused.transfers.count, fresh.transfers.count);
+  EXPECT_EQ(bits(reused.transfers.bytes), bits(fresh.transfers.bytes));
+  EXPECT_EQ(reused.transfers.peak_concurrent, fresh.transfers.peak_concurrent);
+  EXPECT_EQ(reused.migrations, fresh.migrations);
+  EXPECT_EQ(reused.faults.boot_failures, fresh.faults.boot_failures);
+  EXPECT_EQ(reused.faults.crashes, fresh.faults.crashes);
+  EXPECT_EQ(reused.faults.transfer_failures, fresh.faults.transfer_failures);
+  EXPECT_EQ(reused.faults.transfer_aborts, fresh.faults.transfer_aborts);
+  EXPECT_EQ(reused.faults.task_reexecutions, fresh.faults.task_reexecutions);
+  EXPECT_EQ(reused.faults.failed_tasks, fresh.faults.failed_tasks);
+  EXPECT_EQ(bits(reused.faults.wasted_compute), bits(fresh.faults.wasted_compute));
+  EXPECT_EQ(bits(reused.faults.recovery_cost), bits(fresh.faults.recovery_cost));
+  EXPECT_EQ(reused.faults.degraded, fresh.faults.degraded);
+  EXPECT_EQ(reused.events_processed, fresh.events_processed);
+}
+
+/// Every task on one of two VMs of \p category, alternating in
+/// topological order.
+Schedule two_vm_schedule(const dag::Workflow& wf, platform::CategoryId category) {
+  Schedule s(wf.task_count());
+  const VmId vms[2] = {s.add_vm(category), s.add_vm(category)};
+  std::size_t next = 0;
+  for (const TaskId t : wf.topological_order()) s.assign(t, vms[next++ % 2]);
+  return s;
+}
+
+/// A two-VM schedule that runs for a while and then deadlocks: p needs r's
+/// output, q needs p's, and q sits before r on their shared VM while p runs
+/// on the other one with every remaining task.
+Schedule deadlocking_schedule(const dag::Workflow& wf) {
+  TaskId p = 0;
+  while (wf.in_edges(p).empty() || wf.out_edges(p).empty()) ++p;
+  const TaskId r = wf.edge(wf.in_edges(p).front()).src;
+  const TaskId q = wf.edge(wf.out_edges(p).front()).dst;
+  Schedule s(wf.task_count());
+  const VmId main_vm = s.add_vm(0);
+  const VmId side_vm = s.add_vm(0);
+  double priority = 0;
+  for (const TaskId t : wf.topological_order()) {
+    s.set_priority(t, t == q ? 1.0 : priority -= 1.0);
+    s.assign(t, t == r || t == q ? side_vm : main_vm);
+  }
+  return s;
+}
+
+/// The ValidationError text of running \p schedule, or "completed".
+std::string deadlock_report(Simulator& simulator, const Schedule& schedule,
+                            const dag::WeightRealization& weights) {
+  try {
+    (void)simulator.run(schedule, weights);
+  } catch (const ValidationError& error) {
+    return error.what();
+  }
+  return "completed";
+}
+
+TEST(Simulator, ReusedSimulatorMatchesFreshOnesRunForRun) {
+  const dag::Workflow wf = pegasus::generate(pegasus::WorkflowType::cybershake, {90, 1, 0.5});
+  const platform::Platform platform = platform::paper_platform_with_contention(4);
+  const exp::BudgetLevels levels = exp::compute_budget_levels(wf, platform);
+  const Schedule many = sched::make_scheduler("heft-budg")->schedule({wf, platform, levels.high})
+                            .schedule;
+  ASSERT_GE(many.used_vm_count(), 30u);
+  const Schedule two = two_vm_schedule(wf, platform.cheapest_category());
+  const Schedule deadlock = deadlocking_schedule(wf);
+  Rng rng(11);
+  const dag::WeightRealization weights = dag::sample_weights(wf, rng);
+
+  OnlinePolicy policy;
+  policy.timeout_sigmas = 0.25;
+  FaultModel faults;
+  faults.lambda_crash = 2.0;
+  faults.p_boot_fail = 0.1;
+  faults.p_transfer_fail = 0.05;
+
+  Simulator reused(wf, platform);
+  {
+    SCOPED_TRACE("online run that migrates");
+    const SimResult r = reused.run_online(two, weights, policy);
+    ASSERT_GT(r.migrations, 0u);
+    expect_identical(r, Simulator(wf, platform).run_online(two, weights, policy));
+  }
+  {
+    SCOPED_TRACE("faults with crash recovery under contention");
+    const SimResult r = reused.run_with_faults(many, weights, faults);
+    ASSERT_GT(r.faults.crashes, 0u);
+    ASSERT_GT(r.vms.size(), many.vm_count());  // recovery provisioned VMs
+    expect_identical(r, Simulator(wf, platform).run_with_faults(many, weights, faults));
+  }
+  {
+    SCOPED_TRACE("faults again: fresh fault draws");
+    expect_identical(reused.run_with_faults(many, weights, faults),
+                     Simulator(wf, platform).run_with_faults(many, weights, faults));
+  }
+  {
+    // The fault run ends with the crash events of VMs that had drained still
+    // in its heap; this much longer run would reach them if they leaked.
+    SCOPED_TRACE("plain run with two VMs");
+    expect_identical(reused.run(two, weights), Simulator(wf, platform).run(two, weights));
+  }
+  {
+    // The deadlock report lists every stuck task, so state leaking in from
+    // the fault run would change its text.
+    SCOPED_TRACE("a deadlock thrown mid-run");
+    const std::string report = deadlock_report(reused, deadlock, weights);
+    EXPECT_NE(report.find("deadlocked"), std::string::npos) << report;
+    Simulator fresh(wf, platform);
+    EXPECT_EQ(report, deadlock_report(fresh, deadlock, weights));
+  }
+  {
+    SCOPED_TRACE("plain run with many VMs");
+    expect_identical(reused.run(many, weights), Simulator(wf, platform).run(many, weights));
+  }
+  {
+    SCOPED_TRACE("conservative run with many VMs");
+    expect_identical(reused.run_conservative(many),
+                     Simulator(wf, platform).run_conservative(many));
+  }
+  {
+    SCOPED_TRACE("online again after the others");
+    expect_identical(reused.run_online(two, weights, policy),
+                     Simulator(wf, platform).run_online(two, weights, policy));
+  }
 }
 
 }  // namespace

@@ -280,7 +280,7 @@ int cmd_schedule(const cli::Args& args) {
             << (out.budget_feasible ? " (within budget)" : " (OVER budget)") << "\n"
             << "  VMs                : " << out.schedule.used_vm_count() << "\n";
 
-  const sim::Simulator simulator(wf, cloud, obs_options.bus_or_null());
+  sim::Simulator simulator(wf, cloud, obs_options.bus_or_null());
   const sim::SimResult prediction = simulator.run_conservative(out.schedule);
   if (obs_options.want_metrics())
     sim::record_run_metrics(obs_options.metrics, prediction, budget);
@@ -320,7 +320,7 @@ int cmd_simulate(const cli::Args& args) {
   const sched::SchedulerInput input =
       sched::make_input(wf, cloud, budget, obs_options.bus_or_null());
   const auto out = sched::make_scheduler(algorithm)->schedule(input);
-  const sim::Simulator simulator(wf, cloud);
+  sim::Simulator simulator(wf, cloud);
 
   if (args.has("online")) {
     sim::OnlinePolicy policy;
@@ -361,7 +361,7 @@ int cmd_simulate(const cli::Args& args) {
   // the trace shows exactly the realization the first repetition saw (the
   // evaluation loop itself stays on the zero-overhead path).
   if (obs_options.bus_or_null() != nullptr) {
-    const sim::Simulator traced(wf, cloud, &obs_options.bus);
+    sim::Simulator traced(wf, cloud, &obs_options.bus);
     const Rng base(config.seed);
     Rng stream = base.fork(0);
     const dag::WeightRealization weights = dag::sample_weights(wf, stream);
