@@ -5,9 +5,12 @@
 ///
 /// Grammar: `cloudwf <command> [positional...] [--flag value | --switch]`.
 /// Flags may appear anywhere after the command; unknown flags are errors so
-/// typos fail loudly.
+/// typos fail loudly.  Numeric flags must hold exactly one number: a sign on
+/// a count, trailing characters, an out-of-range value or a non-finite
+/// double is an InvalidArgument, never a silent wrap-around or zero.
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <map>
 #include <set>
 #include <string>
@@ -16,6 +19,11 @@
 #include "common/error.hpp"
 
 namespace cloudwf::cli {
+
+/// Largest `--threads` accepted.  It is far above the core count of any
+/// machine a campaign runs on, and it keeps a mistyped value from asking
+/// the operating system for millions of threads.
+inline constexpr std::size_t max_threads = 1024;
 
 /// Parsed command line.
 class Args {
@@ -56,16 +64,43 @@ class Args {
     return it == flags_.end() ? fallback : it->second;
   }
 
+  /// A finite decimal number; throws InvalidArgument on anything else.
   [[nodiscard]] double get_double(const std::string& name, double fallback) const {
     const auto it = flags_.find(name);
-    return it == flags_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+    if (it == flags_.end()) return fallback;
+    const std::string& text = it->second;
+    double value = 0;
+    const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), value);
+    if (error == std::errc::result_out_of_range)
+      throw InvalidArgument("--" + name + ": '" + text + "' is out of range");
+    if (error != std::errc{} || end != text.data() + text.size() || !std::isfinite(value))
+      throw InvalidArgument("--" + name + ": expected a finite number, got '" + text + "'");
+    return value;
   }
 
+  /// A non-negative decimal integer; throws InvalidArgument on anything else.
   [[nodiscard]] std::size_t get_size(const std::string& name, std::size_t fallback) const {
     const auto it = flags_.find(name);
-    return it == flags_.end() ? fallback
-                              : static_cast<std::size_t>(std::strtoull(it->second.c_str(),
-                                                                       nullptr, 10));
+    if (it == flags_.end()) return fallback;
+    const std::string& text = it->second;
+    std::size_t value = 0;
+    const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), value);
+    if (error == std::errc::result_out_of_range)
+      throw InvalidArgument("--" + name + ": '" + text + "' is out of range");
+    if (error != std::errc{} || end != text.data() + text.size())
+      throw InvalidArgument("--" + name + ": expected a non-negative integer, got '" + text +
+                            "'");
+    return value;
+  }
+
+  /// `--threads`: a get_size() of at most max_threads (0 = hardware
+  /// concurrency).  Checked here, before any thread pool is built.
+  [[nodiscard]] std::size_t get_threads(std::size_t fallback) const {
+    const std::size_t threads = get_size("threads", fallback);
+    if (threads > max_threads)
+      throw InvalidArgument("--threads: " + std::to_string(threads) + " exceeds the limit of " +
+                            std::to_string(max_threads));
+    return threads;
   }
 
   /// Splits a comma-separated flag into entries.

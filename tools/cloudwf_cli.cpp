@@ -433,7 +433,7 @@ int cmd_sweep(const cli::Args& args) {
   exp::RunPolicy policy;
   policy.run_timeout = args.get_double("run-timeout", 0.0);
   std::vector<exp::EvalResult> results;
-  const std::size_t threads = args.get_size("threads", 1);
+  const std::size_t threads = args.get_threads(1);
   if (threads == 1) {
     results = exp::run_serial(cloud, requests, policy);
   } else {
@@ -491,7 +491,7 @@ int cmd_campaign(const cli::Args& args) {
       "algorithms",
       join_algorithms([](const sched::SchedulerInfo& info) { return !info.refining; })));
   config.seed = args.get_size("seed", 42);
-  config.threads = args.get_size("threads", 1);
+  config.threads = args.get_threads(1);
   config.low_budget_factor = args.get_double("low-factor", 1.0);
   config.checkpoint_dir = args.get("checkpoint-dir", "");
   config.resume = args.has("resume");
