@@ -28,7 +28,10 @@
 /// The `sim` section times one 1000-task CYBERSHAKE simulation with no
 /// event bus, with a bus but no sinks, and with a counting sink, and
 /// records the overhead of the latter two: a bus nobody listens to must
-/// cost under 2% (DESIGN.md §10).
+/// cost under 2% (DESIGN.md §10).  It also records `allocs_per_run`, the
+/// heap allocations of one more run on the warmed-up bus-less Simulator
+/// (counted like tests/integration/test_alloc_budget.cpp does), which the
+/// checker gates like the cell counters.
 ///
 /// Usage: bench_sched [output.json]   (default: BENCH_sched.json in the
 /// working directory).  CLOUDWF_QUICK shrinks the planning matrix to
@@ -44,6 +47,7 @@
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "bench_common.hpp"
 #include "common/atomic_file.hpp"
 #include "common/json.hpp"
@@ -213,15 +217,15 @@ Json sim_section(const platform::Platform& platform, double& sink) {
   Rng rng(7);
   const dag::WeightRealization weights = dag::sample_weights(wf, rng);
 
-  const sim::Simulator baseline_sim(wf, platform);  // no bus at all
+  sim::Simulator baseline_sim(wf, platform);  // no bus at all
   obs::EventBus disabled_bus;                       // bus, no sinks
-  const sim::Simulator disabled_sim(wf, platform, &disabled_bus);
+  sim::Simulator disabled_sim(wf, platform, &disabled_bus);
   obs::EventBus enabled_bus;
   obs::CountingSink counter;
   enabled_bus.add_sink(&counter);
-  const sim::Simulator enabled_sim(wf, platform, &enabled_bus);
+  sim::Simulator enabled_sim(wf, platform, &enabled_bus);
 
-  const auto one_sample = [&](const sim::Simulator& simulator) {
+  const auto one_sample = [&](sim::Simulator& simulator) {
     const auto start = Clock::now();
     for (std::size_t r = 0; r < runs_per_sample; ++r)
       sink += simulator.run(schedule, weights).makespan;
@@ -240,13 +244,16 @@ Json sim_section(const platform::Platform& platform, double& sink) {
   const double overhead_disabled = 100.0 * (median(disabled_times) / t_baseline - 1.0);
   const double overhead_enabled = 100.0 * (median(enabled_times) / t_baseline - 1.0);
   const double runs_per_sec = static_cast<double>(runs_per_sample) * 1e3 / t_baseline;
-  const double events_per_sec =
-      runs_per_sec * static_cast<double>(baseline_sim.run(schedule, weights).events_processed);
+  std::size_t events = 0;
+  const std::size_t allocs_per_run = alloc_counter::allocations_of(
+      [&] { events = baseline_sim.run(schedule, weights).events_processed; });
+  const double events_per_sec = runs_per_sec * static_cast<double>(events);
 
   std::cout << "\nsimulator (cybershake, " << tasks << " tasks, heft-budg; median of "
             << samples << " samples of " << runs_per_sample << " runs)\n"
             << "runs/s              : " << runs_per_sec << "\n"
             << "events/s            : " << events_per_sec << "\n"
+            << "allocations/run     : " << allocs_per_run << "\n"
             << "bus, no sinks       : " << overhead_disabled << "% overhead\n"
             << "bus + counting sink : " << overhead_enabled << "% overhead\n";
 
@@ -260,6 +267,7 @@ Json sim_section(const platform::Platform& platform, double& sink) {
   section["events_per_sec"] = events_per_sec;
   section["overhead_disabled_pct"] = overhead_disabled;
   section["overhead_enabled_pct"] = overhead_enabled;
+  section["allocs_per_run"] = allocs_per_run;
   return Json(std::move(section));
 }
 

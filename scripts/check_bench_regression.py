@@ -5,7 +5,8 @@ Both inputs are cloudwf-bench-sched-v1 files (see bench/bench_sched.cpp):
 a `calibration_ms` from a fixed CPU-bound FNV-1a loop; the planning cells
 in `entries`, keyed by (algorithm, family, tasks); the Table III cells in
 `table3`, keyed by (table, algorithm, family, tasks, budget); and a `sim`
-section with the simulator's observability overhead.  Every cell has a
+section with the simulator's observability overhead and its heap
+allocations per run.  Every cell has a
 min-of-samples planning time `plan_ms` and three deterministic work
 counters: placement `probes`, simulations `sims` and engine `events`.
 
@@ -33,8 +34,11 @@ included: a count that grows > 5% means the kernel started re-probing or
 refinement started re-simulating — an algorithmic regression timing noise
 can never excuse.  Cells that exist only in the baseline are reported as
 missing (failure: a silently dropped cell would otherwise disable its
-gate).  Legitimate perf-profile changes regenerate the committed baseline
-with `bench_sched` instead of widening thresholds.
+gate).  The `sim` section's `allocs_per_run` is gated the same way: it is
+an exact count (one run on a Simulator that has already run), and a
+Simulator that goes back to rebuilding its state per run multiplies it.
+Legitimate perf-profile changes regenerate the committed baseline with
+`bench_sched` instead of widening thresholds.
 
 The current run's disabled-bus overhead is printed, with a warning (not a
 failure: it is a timing on a shared machine) above the 2% contract.
@@ -68,6 +72,9 @@ CELL_NOISE_MARGIN = 1.2
 # shifts (e.g. an extra warm-up probe), not re-probing regressions.
 COUNTERS = ("probes", "sims", "events")
 COUNTER_TOLERANCE = 1.05
+
+# Deterministic counters of the `sim` section, gated like the cell counters.
+SIM_COUNTERS = ("allocs_per_run",)
 
 # DESIGN.md §10: an event bus with no sinks costs under 2%.
 DISABLED_BUS_CONTRACT_PCT = 2.0
@@ -174,6 +181,20 @@ def main() -> int:
         # Cells the current run silently dropped would otherwise lose their gate.
         for key in sorted(set(base_cells) - set(cur_cells)):
             failures.append(f"MISSING {cell_name(key)}: cell not in current run")
+
+    base_sim = baseline.get("sim", {})
+    cur_sim = current.get("sim", {})
+    for counter in SIM_COUNTERS:
+        base_count = base_sim.get(counter)
+        if base_count is None:
+            continue  # a baseline from before the counter existed
+        cur_count = cur_sim.get(counter)
+        if cur_count is None:
+            failures.append(f"MISSING sim/{counter}: not in current run")
+        elif cur_count > base_count * COUNTER_TOLERANCE:
+            failures.append(
+                f"REGRESSION sim: {counter} {cur_count} > baseline {base_count}"
+            )
 
     if "sim" in current:
         overhead = current["sim"]["overhead_disabled_pct"]

@@ -2,87 +2,51 @@
 /// \brief Heap-allocation budgets of the simulator and the workflow parsers.
 ///
 /// A passing precondition must cost one branch and no allocation (see
-/// common/error.hpp).  These tests count the heap allocations of one
-/// conservative simulation and of parsing a 1000-task workflow, and hold
-/// each under a committed bound, so a check that starts composing its
-/// message on every call shows up here as a deterministic count rather
-/// than as a few percent of noisy wall time.
+/// common/error.hpp), and a Simulator re-running a schedule reuses the
+/// execution state it owns (sim/simulator.hpp).  These tests count the heap
+/// allocations of the second run on one Simulator and of parsing a
+/// 1000-task workflow, and hold each under a committed bound, so a check
+/// that starts composing its message on every call, or engine state that
+/// goes back to being rebuilt per run, shows up here as a deterministic
+/// count rather than as a few percent of noisy wall time.
 ///
-/// Counts before messages were built only on failure and after it (gcc 12,
-/// libstdc++, Release; bounds in parentheses):
-///   run_conservative, 90-task CyberShake heft-budg:    3,772 ->    427 (500)
-///   dag::from_json, 1000-task CyberShake:            649,701 -> 13,715 (25,000)
-///   dag::from_dax, the same instance:                426,885 -> 47,079 (51,500)
+/// Counts (gcc 12, libstdc++, Release; bounds in parentheses).  The first
+/// column predates messages built only on failure, the second predates the
+/// Simulator-owned execution state, the third is the current code:
+///   run_conservative, 90-task CyberShake heft-budg:  3,772 ->    427 ->  3 (8)
+///   run, 1000-task CyberShake, sampled weights:          - ->  4,397 ->  3 (8)
+///   run_with_faults, 300-task Montage, contention 4:     - ->  2,405 -> 20 (40)
+///   dag::from_json, 1000-task CyberShake:          649,701 -> 13,715 (25,000)
+///   dag::from_dax, the same instance:              426,885 -> 47,079 (51,500)
+/// Three allocations are left per simulation: the two vectors of the
+/// returned SimResult and Schedule::validate's position table.  The fault
+/// run also grows the state to the VMs that crash recovery provisions
+/// beyond the warm-up run's.
 ///
-/// The counter replaces the global operator new, which is why this file is
-/// its own test executable.  Under AddressSanitizer or ThreadSanitizer the
-/// sanitizer owns operator new, so the count comes from its allocation hook
-/// instead (that hook also sees plain malloc calls, which these paths do
-/// not make).
+/// The counter (bench/alloc_counter.hpp) replaces the global operator new,
+/// which is why this file is its own test executable.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstddef>
-#include <cstdlib>
-#include <new>
 #include <string>
 
+#include "alloc_counter.hpp"
+
+#include "common/rng.hpp"
 #include "dag/dax.hpp"
 #include "dag/io.hpp"
+#include "dag/stochastic.hpp"
 #include "exp/budget_levels.hpp"
 #include "pegasus/generator.hpp"
 #include "platform/platform.hpp"
 #include "sched/registry.hpp"
 #include "sim/simulator.hpp"
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define CLOUDWF_ALLOC_HOOK 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define CLOUDWF_ALLOC_HOOK 1
-#endif
-#endif
-
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-#ifdef CLOUDWF_ALLOC_HOOK
-// Declared here rather than through <sanitizer/allocator_interface.h>,
-// which gcc does not ship; both runtimes export it.
-extern "C" int __sanitizer_install_malloc_and_free_hooks(
-    void (*malloc_hook)(const volatile void*, std::size_t),
-    void (*free_hook)(const volatile void*));
-
-namespace {
-void count_malloc(const volatile void* /*ptr*/, std::size_t /*size*/) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-}
-void ignore_free(const volatile void* /*ptr*/) {}
-[[maybe_unused]] const int g_hooks_installed =
-    __sanitizer_install_malloc_and_free_hooks(&count_malloc, &ignore_free);
-}  // namespace
-#else
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* ptr = std::malloc(size == 0 ? 1 : size)) return ptr;
-  throw std::bad_alloc();
-}
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t /*size*/) noexcept { std::free(ptr); }
-#endif
-
 namespace cloudwf {
 namespace {
 
-/// Heap allocations made while running \p fn.
-template <class Fn>
-std::size_t allocations_of(Fn&& fn) {
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  fn();
-  return g_allocations.load(std::memory_order_relaxed) - before;
-}
+using alloc_counter::allocations_of;
 
 TEST(AllocBudget, ConservativeRunOf90TaskCyberShake) {
   sim::set_post_run_check(nullptr);
@@ -91,7 +55,7 @@ TEST(AllocBudget, ConservativeRunOf90TaskCyberShake) {
   const Dollars budget = exp::compute_budget_levels(wf, platform).medium;
   const sched::SchedulerOutput out =
       sched::make_scheduler("heft-budg")->schedule({wf, platform, budget});
-  const sim::Simulator simulator(wf, platform);
+  sim::Simulator simulator(wf, platform);
   const Seconds warm = simulator.run_conservative(out.schedule).makespan;
 
   Seconds makespan = 0;
@@ -100,7 +64,62 @@ TEST(AllocBudget, ConservativeRunOf90TaskCyberShake) {
   RecordProperty("allocations", std::to_string(count));
   EXPECT_EQ(makespan, warm);
   EXPECT_GT(count, 0u) << "the allocation counter is not wired";
-  EXPECT_LE(count, 500u);
+  EXPECT_LE(count, 8u);
+}
+
+TEST(AllocBudget, SampledRunOf1000TaskCyberShake) {
+  sim::set_post_run_check(nullptr);
+  const dag::Workflow wf = pegasus::generate(pegasus::WorkflowType::cybershake, {1000, 1, 0.5});
+  const platform::Platform platform = platform::paper_platform();
+  const Dollars budget = exp::compute_budget_levels(wf, platform).medium;
+  const sched::SchedulerOutput out =
+      sched::make_scheduler("heft-budg")->schedule({wf, platform, budget});
+  const Rng base(7);
+  Rng first = base.fork(0);
+  Rng second = base.fork(1);
+  const dag::WeightRealization warm_weights = dag::sample_weights(wf, first);
+  const dag::WeightRealization weights = dag::sample_weights(wf, second);
+  sim::Simulator simulator(wf, platform);
+  (void)simulator.run(out.schedule, warm_weights);
+
+  Seconds makespan = 0;
+  const std::size_t count =
+      allocations_of([&] { makespan = simulator.run(out.schedule, weights).makespan; });
+  RecordProperty("allocations", std::to_string(count));
+  EXPECT_EQ(makespan, sim::Simulator(wf, platform).run(out.schedule, weights).makespan);
+  EXPECT_GT(count, 0u) << "the allocation counter is not wired";
+  EXPECT_LE(count, 8u);
+}
+
+TEST(AllocBudget, FaultRunOf300TaskMontageUnderContention) {
+  sim::set_post_run_check(nullptr);
+  const dag::Workflow wf = pegasus::generate(pegasus::WorkflowType::montage, {300, 1, 0.5});
+  const platform::Platform platform = platform::paper_platform_with_contention(4);
+  const Dollars budget = exp::compute_budget_levels(wf, platform).medium;
+  const sched::SchedulerOutput out =
+      sched::make_scheduler("heft-budg")->schedule({wf, platform, budget});
+  sim::FaultModel faults;
+  faults.p_boot_fail = 0.05;
+  faults.lambda_crash = 0.25;
+  faults.p_transfer_fail = 0.005;
+  sim::RecoveryPolicy recovery;
+  recovery.budget_cap = 1.5 * budget;
+  const Rng base(7);
+  Rng first = base.fork(0);
+  Rng second = base.fork(1);
+  const dag::WeightRealization warm_weights = dag::sample_weights(wf, first);
+  const dag::WeightRealization weights = dag::sample_weights(wf, second);
+  sim::Simulator simulator(wf, platform);
+  (void)simulator.run_with_faults(out.schedule, warm_weights, faults.for_repetition(0), recovery);
+
+  const sim::FaultModel counted = faults.for_repetition(1);
+  sim::SimResult result;
+  const std::size_t count = allocations_of(
+      [&] { result = simulator.run_with_faults(out.schedule, weights, counted, recovery); });
+  RecordProperty("allocations", std::to_string(count));
+  EXPECT_GT(result.faults.crashes, 0u) << "the counted run must exercise crash recovery";
+  EXPECT_GT(count, 0u) << "the allocation counter is not wired";
+  EXPECT_LE(count, 40u);
 }
 
 class ParseBudget : public ::testing::Test {

@@ -41,6 +41,10 @@ def disabled_bus_overhead_3pct(doc: dict) -> None:
     doc["sim"]["overhead_disabled_pct"] = 3.0
 
 
+def sim_allocs_per_run_up(doc: dict) -> None:
+    doc["sim"]["allocs_per_run"] += 1
+
+
 # (name, edit of the current run, expected exit code, required output)
 CASES = [
     ("baseline_vs_itself", unchanged, 0, "all cells within threshold"),
@@ -51,6 +55,8 @@ CASES = [
     ("wrong_schema", wrong_schema, 2, "not a cloudwf-bench-sched-v1 file"),
     ("disabled_bus_overhead_3pct", disabled_bus_overhead_3pct, 0,
      "WARNING: disabled-bus overhead 3.00%"),
+    ("sim_allocs_per_run_up", sim_allocs_per_run_up, 1,
+     "REGRESSION sim: allocs_per_run 4 > baseline 3"),
 ]
 
 
