@@ -87,8 +87,6 @@ class Simulator {
   Simulator(const dag::Workflow& wf, const platform::Platform& platform,
             obs::EventBus* bus = nullptr);
   ~Simulator();
-  Simulator(const Simulator&) = delete;
-  Simulator& operator=(const Simulator&) = delete;
 
   /// Runs \p schedule with concrete \p weights.
   /// Throws ValidationError if the schedule is malformed or deadlocks.
