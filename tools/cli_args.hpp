@@ -68,29 +68,17 @@ class Args {
   [[nodiscard]] double get_double(const std::string& name, double fallback) const {
     const auto it = flags_.find(name);
     if (it == flags_.end()) return fallback;
-    const std::string& text = it->second;
-    double value = 0;
-    const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), value);
-    if (error == std::errc::result_out_of_range)
-      throw InvalidArgument("--" + name + ": '" + text + "' is out of range");
-    if (error != std::errc{} || end != text.data() + text.size() || !std::isfinite(value))
-      throw InvalidArgument("--" + name + ": expected a finite number, got '" + text + "'");
+    const auto value = parse_number<double>(name, it->second, "a finite number");
+    if (!std::isfinite(value)) throw malformed(name, it->second, "a finite number");
     return value;
   }
 
   /// A non-negative decimal integer; throws InvalidArgument on anything else.
   [[nodiscard]] std::size_t get_size(const std::string& name, std::size_t fallback) const {
     const auto it = flags_.find(name);
-    if (it == flags_.end()) return fallback;
-    const std::string& text = it->second;
-    std::size_t value = 0;
-    const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), value);
-    if (error == std::errc::result_out_of_range)
-      throw InvalidArgument("--" + name + ": '" + text + "' is out of range");
-    if (error != std::errc{} || end != text.data() + text.size())
-      throw InvalidArgument("--" + name + ": expected a non-negative integer, got '" + text +
-                            "'");
-    return value;
+    return it == flags_.end()
+               ? fallback
+               : parse_number<std::size_t>(name, it->second, "a non-negative integer");
   }
 
   /// `--threads`: a get_size() of at most max_threads (0 = hardware
@@ -120,6 +108,24 @@ class Args {
   }
 
  private:
+  static InvalidArgument malformed(const std::string& name, const std::string& text,
+                                   const char* expected) {
+    return InvalidArgument("--" + name + ": expected " + expected + ", got '" + text + "'");
+  }
+
+  /// The whole of \p text as one number (std::from_chars: no sign on
+  /// unsigned types, no leading blanks or '+').
+  template <class T>
+  static T parse_number(const std::string& name, const std::string& text, const char* expected) {
+    T value{};
+    const char* last = text.data() + text.size();
+    const auto [end, error] = std::from_chars(text.data(), last, value);
+    if (error == std::errc::result_out_of_range)
+      throw InvalidArgument("--" + name + ": '" + text + "' is out of range");
+    if (error != std::errc{} || end != last) throw malformed(name, text, expected);
+    return value;
+  }
+
   std::vector<std::string> args_;
   std::string command_;
   std::vector<std::string> positional_;
