@@ -196,7 +196,6 @@ class Simulator::Engine {
   std::vector<Event> events_;             // binary heap ordered by EventLater
   std::uint64_t next_seq_ = 0;
   Seconds now_ = 0;
-  std::size_t tasks_finished_ = 0;
   std::size_t tasks_terminal_ = 0;  // finished or failed-before-finishing
   std::size_t pending_retries_ = 0;
   std::size_t events_processed_ = 0;
@@ -324,7 +323,6 @@ void Simulator::Engine::init(const Schedule& schedule, const dag::WeightRealizat
   events_.clear();
   next_seq_ = 0;
   now_ = 0;
-  tasks_finished_ = 0;
   tasks_terminal_ = 0;
   pending_retries_ = 0;
   events_processed_ = 0;
@@ -719,7 +717,6 @@ void Simulator::Engine::on_task_done(VmId vm, dag::TaskId task) {
   VmState& state = vms_[vm];
   TaskState& ts = tasks_[task];
   ts.finished = true;
-  ++tasks_finished_;
   ++tasks_terminal_;
   ++state.tasks_done;
   ++state.free_procs;
