@@ -218,7 +218,7 @@ Json sim_section(const platform::Platform& platform, double& sink) {
   const dag::WeightRealization weights = dag::sample_weights(wf, rng);
 
   sim::Simulator baseline_sim(wf, platform);  // no bus at all
-  obs::EventBus disabled_bus;                       // bus, no sinks
+  obs::EventBus disabled_bus;                 // bus, no sinks
   sim::Simulator disabled_sim(wf, platform, &disabled_bus);
   obs::EventBus enabled_bus;
   obs::CountingSink counter;

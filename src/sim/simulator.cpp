@@ -189,11 +189,11 @@ class Simulator::Engine {
   std::vector<TransferJob> jobs_;
   std::vector<std::size_t> flow_to_job_;  // FlowId -> job index
   std::vector<FlowId> completed_flows_;   // FluidNetwork::advance output
+  std::vector<Event> events_;             // binary heap ordered by EventLater
   // recover_tasks scratch (it never re-enters itself).
   std::vector<dag::TaskId> recovery_moved_;
   std::vector<dag::TaskId> recovery_tail_;
   std::vector<TransferJob> recovery_uploads_;
-  std::vector<Event> events_;             // binary heap ordered by EventLater
   std::uint64_t next_seq_ = 0;
   Seconds now_ = 0;
   std::size_t tasks_terminal_ = 0;  // finished or failed-before-finishing

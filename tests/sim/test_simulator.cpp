@@ -441,8 +441,8 @@ TEST(Simulator, ReusedSimulatorMatchesFreshOnesRunForRun) {
   const dag::Workflow wf = pegasus::generate(pegasus::WorkflowType::cybershake, {90, 1, 0.5});
   const platform::Platform platform = platform::paper_platform_with_contention(4);
   const exp::BudgetLevels levels = exp::compute_budget_levels(wf, platform);
-  const Schedule many = sched::make_scheduler("heft-budg")->schedule({wf, platform, levels.high})
-                            .schedule;
+  const Schedule many =
+      sched::make_scheduler("heft-budg")->schedule({wf, platform, levels.high}).schedule;
   ASSERT_GE(many.used_vm_count(), 30u);
   const Schedule two = two_vm_schedule(wf, platform.cheapest_category());
   const Schedule deadlock = deadlocking_schedule(wf);
