@@ -210,6 +210,9 @@ def run_case(lint: str, workflow: str, source: Path, name: str, mutate,
                             f"(stdout: {proc.stdout.strip()!r}, "
                             f"stderr: {proc.stderr.strip()!r})")
             return problems
+        if not proc.stdout.endswith("\n"):
+            problems.append(f"{name}: report text does not end with a newline "
+                            f"(stdout: {proc.stdout!r})")
         report = json.loads(report_path.read_text())
         codes = {v["code"] for v in report["violations"]}
         if not codes & expected:

@@ -10,6 +10,7 @@
 #include "obs/profile.hpp"
 #include "sched/best_host.hpp"
 #include "sched/plan.hpp"
+#include "sched/refine.hpp"
 #include "sim/simulator.hpp"
 
 namespace cloudwf::sched {
@@ -44,7 +45,12 @@ sim::Schedule single_vm_schedule(const dag::Workflow& wf, platform::CategoryId c
 Dollars single_vm_cost(const dag::Workflow& wf, const platform::Platform& platform,
                        platform::CategoryId category) {
   sim::Simulator simulator(wf, platform);
-  return simulator.run_conservative(single_vm_schedule(wf, category)).total_cost();
+  return single_vm_cost(simulator, category);
+}
+
+Dollars single_vm_cost(sim::Simulator& simulator, platform::CategoryId category) {
+  return simulator.run_conservative(single_vm_schedule(simulator.workflow(), category))
+      .total_cost();
 }
 
 SchedulerOutput CgScheduler::schedule(const SchedulerInput& input) const {
@@ -61,7 +67,9 @@ SchedulerOutput CgScheduler::schedule(const SchedulerInput& input) const {
   // cost linear in speed, a *single* expensive VM would cost the same as a
   // single cheap one and gb would degenerate; the per-task reading is the
   // one that reproduces CG's near-cheapest behaviour in Figure 3.)
-  const Dollars c_min = single_vm_cost(wf, platform, platform.cheapest_category());
+  // One Simulator serves c_min, the CG+ refinement and the prediction.
+  sim::Simulator simulator(wf, platform);
+  const Dollars c_min = single_vm_cost(simulator, platform.cheapest_category());
   Dollars c_max = 0;
   {
     platform::CategoryId dearest = 0;
@@ -149,72 +157,50 @@ SchedulerOutput CgScheduler::schedule(const SchedulerInput& input) const {
     ++decision;
   }
 
-  if (!refine_) return finish(input, std::move(schedule));
+  if (!refine_) return finish(input, std::move(schedule), simulator);
 
   // ---- CG+: critical-path refinement --------------------------------------
-  sim::Simulator simulator(wf, platform);
   sim::SimResult current = simulator.run_conservative(schedule);
   // Generous iteration cap: each applied move strictly reduces makespan, but
   // guard against floating-point ping-pong anyway.
   const std::size_t max_iterations = 3 * wf.task_count();
+  std::vector<sim::MoveTarget> targets;
 
   for (std::size_t iter = 0; iter < max_iterations; ++iter) {
     const auto path = sim::schedule_critical_path(current);
 
     double best_ratio = 0;
     dag::TaskId best_task = dag::invalid_task;
-    sim::VmId best_vm = sim::invalid_vm;
-    bool best_fresh = false;
-    platform::CategoryId best_category = 0;
+    sim::MoveTarget best_target;
 
-    const auto consider = [&](dag::TaskId task, sim::Schedule& tentative, sim::VmId vm,
-                              bool fresh, platform::CategoryId category) {
-      tentative.move(task, vm);
-      const sim::SimResult result = simulator.run_conservative(tentative);
-      const Seconds dt = current.makespan - result.makespan;
-      const Dollars dc = result.total_cost() - current.total_cost();
-      // Faithful CG+ rule: only time-improving, cost-increasing moves have a
-      // positive ratio; cheaper-and-faster moves are (wrongly) skipped.
-      if (dt <= time_epsilon || dc <= money_epsilon) return;
-      if (result.total_cost() > input.budget + money_epsilon) return;
-      const double ratio = dt / dc;
-      if (ratio > best_ratio) {
-        best_ratio = ratio;
-        best_task = task;
-        best_vm = vm;
-        best_fresh = fresh;
-        best_category = category;
-      }
-    };
-
-    // One tentative schedule reused (copy-assigned) across every probe of
-    // this iteration, instead of a fresh deep copy per move.
-    sim::Schedule tentative = schedule;
+    // Each critical task's candidates come from one sweep; the selection
+    // rule runs over them in candidate order, task by task.
     for (dag::TaskId task : path) {
-      const sim::VmId current_vm = schedule.vm_of(task);
-      for (sim::VmId vm = 0; vm < schedule.vm_count(); ++vm) {
-        if (vm == current_vm || schedule.vm_tasks(vm).empty()) continue;
-        tentative = schedule;
-        consider(task, tentative, vm, false, 0);
-      }
-      for (platform::CategoryId c = 0; c < platform.category_count(); ++c) {
-        tentative = schedule;
-        const sim::VmId fresh = tentative.add_vm(c);
-        consider(task, tentative, fresh, true, c);
+      refinement_targets(schedule, platform, task, targets);
+      const std::vector<sim::MoveOutcome> outcomes =
+          simulator.sweep_moves(schedule, current, task, targets);
+      for (std::size_t i = 0; i < targets.size(); ++i) {
+        const Seconds dt = current.makespan - outcomes[i].makespan;
+        const Dollars dc = outcomes[i].cost - current.total_cost();
+        // Faithful CG+ rule: only time-improving, cost-increasing moves have
+        // a positive ratio; cheaper-and-faster moves are (wrongly) skipped.
+        if (dt <= time_epsilon || dc <= money_epsilon) continue;
+        if (outcomes[i].cost > input.budget + money_epsilon) continue;
+        const double ratio = dt / dc;
+        if (ratio > best_ratio) {
+          best_ratio = ratio;
+          best_task = task;
+          best_target = targets[i];
+        }
       }
     }
 
     if (best_task == dag::invalid_task) break;  // leftover budget cannot buy time
-    if (best_fresh) {
-      const sim::VmId fresh = schedule.add_vm(best_category);
-      schedule.move(best_task, fresh);
-    } else {
-      schedule.move(best_task, best_vm);
-    }
+    sim::move_task(schedule, best_task, best_target);
     current = simulator.run_conservative(schedule);
   }
 
-  return finish(input, std::move(schedule));
+  return finish(input, std::move(schedule), simulator);
 }
 
 }  // namespace cloudwf::sched

@@ -44,5 +44,7 @@ class CgScheduler final : public Scheduler {
 [[nodiscard]] Dollars single_vm_cost(const dag::Workflow& wf,
                                      const platform::Platform& platform,
                                      platform::CategoryId category);
+/// The same, evaluated on \p simulator's workflow and platform.
+[[nodiscard]] Dollars single_vm_cost(sim::Simulator& simulator, platform::CategoryId category);
 
 }  // namespace cloudwf::sched

@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 #include "sched/heft.hpp"
 #include "sched/refine.hpp"
+#include "sim/simulator.hpp"
 
 namespace cloudwf::sched {
 
@@ -15,8 +16,9 @@ SchedulerOutput HeftBudgPlusScheduler::schedule(const SchedulerInput& input) con
   if (inverse_) std::reverse(list.begin(), list.end());
 
   // Steps 2-3: evaluate and re-map task by task (lines 4-17).
-  refine_by_resimulation(input, current, list);
-  return finish(input, std::move(current));
+  sim::Simulator simulator(input.wf, input.platform);
+  refine_by_resimulation(input, current, list, simulator);
+  return finish(input, std::move(current), simulator);
 }
 
 }  // namespace cloudwf::sched

@@ -9,6 +9,7 @@
 #include "sched/budget.hpp"
 #include "sched/plan.hpp"
 #include "sched/refine.hpp"
+#include "sim/simulator.hpp"
 
 namespace cloudwf::sched {
 
@@ -133,8 +134,9 @@ SchedulerOutput MinMinScheduler::schedule(const SchedulerInput& input) const {
 SchedulerOutput MinMinBudgPlusScheduler::schedule(const SchedulerInput& input) const {
   std::vector<dag::TaskId> order;
   sim::Schedule current = MinMinScheduler::run_list_pass(input, /*budget_aware=*/true, order);
-  refine_by_resimulation(input, current, order);
-  return finish(input, std::move(current));
+  sim::Simulator simulator(input.wf, input.platform);
+  refine_by_resimulation(input, current, order, simulator);
+  return finish(input, std::move(current), simulator);
 }
 
 }  // namespace cloudwf::sched

@@ -1,60 +1,57 @@
 #include "sched/refine.hpp"
 
+#include <vector>
+
 #include "common/error.hpp"
-#include "sim/simulator.hpp"
 
 namespace cloudwf::sched {
 
+void refinement_targets(const sim::Schedule& schedule, const platform::Platform& platform,
+                        dag::TaskId task, std::vector<sim::MoveTarget>& targets) {
+  const sim::VmId current_vm = schedule.vm_of(task);
+  targets.clear();
+  for (sim::VmId vm = 0; vm < schedule.vm_count(); ++vm)
+    if (vm != current_vm && !schedule.vm_tasks(vm).empty())
+      targets.push_back(sim::MoveTarget::existing(vm));
+  for (platform::CategoryId c = 0; c < platform.category_count(); ++c)
+    targets.push_back(sim::MoveTarget::fresh(c));
+}
+
 std::size_t refine_by_resimulation(const SchedulerInput& input, sim::Schedule& schedule,
                                    std::span<const dag::TaskId> order) {
+  sim::Simulator simulator(input.wf, input.platform);
+  return refine_by_resimulation(input, schedule, order, simulator);
+}
+
+std::size_t refine_by_resimulation(const SchedulerInput& input, sim::Schedule& schedule,
+                                   std::span<const dag::TaskId> order,
+                                   sim::Simulator& simulator) {
   require(order.size() == input.wf.task_count(),
           "refine_by_resimulation: order must cover every task");
-  sim::Simulator simulator(input.wf, input.platform);
-  Seconds best_makespan = simulator.run_conservative(schedule).makespan;
+  sim::SimResult base = simulator.run_conservative(schedule);
+  Seconds best_makespan = base.makespan;
   std::size_t applied = 0;
 
-  // One tentative schedule reused (copy-assigned) per probe instead of a
-  // fresh deep copy; its capacity survives across candidates and tasks.
-  sim::Schedule tentative = schedule;
+  std::vector<sim::MoveTarget> targets;
   for (const dag::TaskId task : order) {
-    const sim::VmId current_vm = schedule.vm_of(task);
-    sim::VmId selected_vm = current_vm;
-    platform::CategoryId selected_fresh_category = 0;
-    bool selected_is_fresh = false;
-
-    const auto try_candidate = [&](sim::VmId vm, bool fresh, platform::CategoryId category) {
-      tentative.move(task, vm);
-      const sim::SimResult result = simulator.run_conservative(tentative);
-      if (result.makespan < best_makespan &&
-          result.total_cost() <= input.budget + money_epsilon) {
-        best_makespan = result.makespan;
-        selected_vm = vm;
-        selected_is_fresh = fresh;
-        selected_fresh_category = category;
+    refinement_targets(schedule, input.platform, task, targets);
+    // The accept rule, replayed over the outcomes in target order, so
+    // ties resolve as they would in a loop of runs.
+    const std::vector<sim::MoveOutcome> outcomes =
+        simulator.sweep_moves(schedule, base, task, targets);
+    std::size_t selected = targets.size();
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      if (outcomes[i].makespan < best_makespan &&
+          outcomes[i].cost <= input.budget + money_epsilon) {
+        best_makespan = outcomes[i].makespan;
+        selected = i;
       }
-    };
+    }
+    if (selected == targets.size()) continue;
 
-    // Used VMs other than the current one.
-    for (sim::VmId vm = 0; vm < schedule.vm_count(); ++vm) {
-      if (vm == current_vm || schedule.vm_tasks(vm).empty()) continue;
-      tentative = schedule;
-      try_candidate(vm, false, 0);
-    }
-    // One fresh VM per category.
-    for (platform::CategoryId c = 0; c < input.platform.category_count(); ++c) {
-      tentative = schedule;
-      const sim::VmId fresh = tentative.add_vm(c);
-      try_candidate(fresh, true, c);
-    }
-
-    if (selected_is_fresh) {
-      const sim::VmId fresh = schedule.add_vm(selected_fresh_category);
-      schedule.move(task, fresh);
-      ++applied;
-    } else if (selected_vm != current_vm) {
-      schedule.move(task, selected_vm);
-      ++applied;
-    }
+    sim::move_task(schedule, task, targets[selected]);
+    ++applied;
+    base = simulator.run_conservative(schedule);
   }
   return applied;
 }

@@ -17,6 +17,10 @@ namespace cloudwf::obs {
 class EventBus;
 }  // namespace cloudwf::obs
 
+namespace cloudwf::sim {
+class Simulator;
+}  // namespace cloudwf::sim
+
 namespace cloudwf::sched {
 
 struct WorkflowPlan;
@@ -76,6 +80,11 @@ class Scheduler {
   /// Runs the conservative predictor on \p schedule and packages the output.
   [[nodiscard]] static SchedulerOutput finish(const SchedulerInput& input,
                                               sim::Schedule schedule);
+  /// The same on \p simulator, built for (input.wf, input.platform): a
+  /// refining algorithm predicts on the Simulator it refined with.
+  [[nodiscard]] static SchedulerOutput finish(const SchedulerInput& input,
+                                              sim::Schedule schedule,
+                                              sim::Simulator& simulator);
 };
 
 }  // namespace cloudwf::sched

@@ -114,18 +114,29 @@ void Schedule::validate(const dag::Workflow& wf, const platform::Platform& platf
     for (std::size_t i = 0; i < vm.tasks.size(); ++i) position[vm.tasks[i]] = i;
   for (const dag::Edge& e : wf.edges()) {
     if (assignment_[e.src] == assignment_[e.dst] && position[e.src] >= position[e.dst])
-      throw ValidationError("Schedule::validate: task " + wf.task(e.dst).name +
-                            " ordered before its same-VM predecessor " + wf.task(e.src).name);
+      throw_same_vm_order_error(wf, e);
   }
+}
+
+std::size_t Schedule::insert_position(dag::TaskId task, VmId vm) const {
+  require(vm < vms_.size(), "Schedule::insert_position: vm out of range");
+  const auto& tasks = vms_[vm].tasks;
+  // Keep the list sorted by non-increasing priority; equal priorities keep
+  // insertion order (stable), which makes refinement moves deterministic.
+  const auto it = std::find_if(tasks.begin(), tasks.end(), [&](dag::TaskId other) {
+    return priority_[other] < priority_[task];
+  });
+  return static_cast<std::size_t>(it - tasks.begin());
 }
 
 void Schedule::insert_ordered(dag::TaskId task, VmId vm) {
   auto& tasks = vms_[vm].tasks;
-  // Keep the list sorted by non-increasing priority; equal priorities keep
-  // insertion order (stable), which makes refinement moves deterministic.
-  auto it = std::find_if(tasks.begin(), tasks.end(),
-                         [&](dag::TaskId other) { return priority_[other] < priority_[task]; });
-  tasks.insert(it, task);
+  tasks.insert(tasks.begin() + static_cast<std::ptrdiff_t>(insert_position(task, vm)), task);
+}
+
+void throw_same_vm_order_error(const dag::Workflow& wf, const dag::Edge& edge) {
+  throw ValidationError("Schedule::validate: task " + wf.task(edge.dst).name +
+                        " ordered before its same-VM predecessor " + wf.task(edge.src).name);
 }
 
 }  // namespace cloudwf::sim

@@ -67,6 +67,9 @@ class Schedule {
   [[nodiscard]] platform::CategoryId vm_category(VmId vm) const;
   [[nodiscard]] std::span<const dag::TaskId> vm_tasks(VmId vm) const;
   [[nodiscard]] double priority(dag::TaskId task) const;
+  /// Where assign/move would insert \p task into \p vm's list: before the
+  /// first task of strictly lower priority.  \p task must not be on \p vm.
+  [[nodiscard]] std::size_t insert_position(dag::TaskId task, VmId vm) const;
 
   /// Returns a copy without empty VMs (ids re-numbered).
   [[nodiscard]] Schedule compacted() const;
@@ -85,5 +88,9 @@ class Schedule {
   std::vector<bool> priority_set_;    // per task
   double next_default_priority_ = 0;  // strictly decreasing default
 };
+
+/// Throws the ValidationError Schedule::validate reports when the consumer
+/// of \p edge sits before its producer on one VM.
+[[noreturn]] void throw_same_vm_order_error(const dag::Workflow& wf, const dag::Edge& edge);
 
 }  // namespace cloudwf::sim

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <optional>
 #include <span>
@@ -90,36 +91,11 @@ class LinkQueue {
   std::size_t head_ = 0;
 };
 
-}  // namespace
-
-/// The execution state of one Simulator, reset in place by every run.
-///
-/// The task-to-VM mapping starts as a copy of the static Schedule but is
-/// *mutable*: the online policy (paper Section VI) may interrupt a running
-/// task and restart it on a freshly provisioned VM of the fastest category,
-/// and fault recovery (faults.hpp) may re-home the work of a crashed VM.
-///
-/// Every container keeps its capacity from run to run.  The per-VM plans
-/// and link queues are pooled past the current VM count, so a run with
-/// fewer VMs than the last one keeps the storage of the others for the
-/// next run that needs it.
-class Simulator::Engine {
- public:
-  Engine(const dag::Workflow& wf, const platform::Platform& platform, obs::EventBus* bus)
-      : wf_(wf),
-        platform_(platform),
-        bus_(bus),
-        fluid_(platform.bandwidth(), platform.dc_aggregate_bandwidth()) {}
-
-  /// One execution of \p schedule.  \p policy, \p faults and \p recovery
-  /// are null when their layer is off; all of them must outlive the call.
-  SimResult run(const Schedule& schedule, const dag::WeightRealization& weights,
-                const OnlinePolicy* policy, const FaultModel* faults,
-                const RecoveryPolicy* recovery);
-
- private:
-  // ---- state --------------------------------------------------------------
-
+/// The mutable state of one execution: what every run resets in place and
+/// what a paused run hands over to a copy (Simulator::sweep_moves).  Plain
+/// copy-assignable data; the pooled per-VM plans and link queues and the
+/// per-run scratch live in the Engine, which copies the pools by hand.
+struct EngineState {
   enum class BootState { unrequested, booting, up };
 
   struct VmState {
@@ -154,15 +130,9 @@ class Simulator::Engine {
     dag::TaskId gate_task = dag::invalid_task;
   };
 
-  /// The two link queues of one VM.
-  struct VmLinks {
-    LinkQueue up;
-    LinkQueue down;
-  };
+  explicit EngineState(const platform::Platform& platform)
+      : fluid_(platform.bandwidth(), platform.dc_aggregate_bandwidth()) {}
 
-  const dag::Workflow& wf_;
-  const platform::Platform& platform_;
-  obs::EventBus* const bus_;  // nullptr = no observability
   FluidNetwork fluid_;
 
   // ---- per-run inputs (set by init) ----------------------------------------
@@ -175,10 +145,6 @@ class Simulator::Engine {
   std::optional<FaultInjector> injector_;     // engaged only for an enabled model
 
   // Mutable mapping (seeded from schedule_, extended by migrations/recovery).
-  // plans_ and links_ are pools: only the first vms_.size() entries belong
-  // to the current run.
-  std::vector<VmPlan> plans_;
-  std::vector<VmLinks> links_;
   std::vector<VmId> vm_of_;
 
   std::vector<VmState> vms_;
@@ -188,12 +154,7 @@ class Simulator::Engine {
   std::vector<bool> download_enqueued_;    // per edge
   std::vector<TransferJob> jobs_;
   std::vector<std::size_t> flow_to_job_;  // FlowId -> job index
-  std::vector<FlowId> completed_flows_;   // FluidNetwork::advance output
   std::vector<Event> events_;             // binary heap ordered by EventLater
-  // recover_tasks scratch (it never re-enters itself).
-  std::vector<dag::TaskId> recovery_moved_;
-  std::vector<dag::TaskId> recovery_tail_;
-  std::vector<TransferJob> recovery_uploads_;
   std::uint64_t next_seq_ = 0;
   Seconds now_ = 0;
   std::size_t tasks_terminal_ = 0;  // finished or failed-before-finishing
@@ -204,6 +165,89 @@ class Simulator::Engine {
   std::size_t migrations_ = 0;
   FaultStats stats_;
   std::vector<TaskRecord> records_;
+};
+
+}  // namespace
+
+/// The execution state of one Simulator, reset in place by every run.
+///
+/// The task-to-VM mapping starts as a copy of the static Schedule but is
+/// *mutable*: the online policy (paper Section VI) may interrupt a running
+/// task and restart it on a freshly provisioned VM of the fastest category,
+/// and fault recovery (faults.hpp) may re-home the work of a crashed VM.
+///
+/// Every container keeps its capacity from run to run.  The per-VM plans
+/// and link queues are pooled past the current VM count, so a run with
+/// fewer VMs than the last one keeps the storage of the others for the
+/// next run that needs it.
+///
+/// A run is init() (state setup), start() (the time-zero boot pass) and
+/// main_loop(); main_loop(until) pauses before the first event at `until`,
+/// and copy_state_from() resumes another engine's paused run in this one.
+class Simulator::Engine : private EngineState {
+ public:
+  Engine(const dag::Workflow& wf, const platform::Platform& platform, obs::EventBus* bus)
+      : EngineState(platform), wf_(wf), platform_(platform), bus_(bus) {}
+
+  /// One execution of \p schedule.  \p policy, \p faults and \p recovery
+  /// are null when their layer is off; all of them must outlive the call.
+  SimResult run(const Schedule& schedule, const dag::WeightRealization& weights,
+                const OnlinePolicy* policy, const FaultModel* faults,
+                const RecoveryPolicy* recovery);
+
+  /// Validates \p schedule and resets the state for a run of it; no event
+  /// has happened yet and no VM is booked.
+  void init(const Schedule& schedule, const dag::WeightRealization& weights,
+            const OnlinePolicy* policy, const FaultModel* faults, const RecoveryPolicy* recovery);
+  /// The time-zero boot pass: books every VM whose first task is ready.
+  void start();
+  /// Processes events until the run ends, or until the next one would
+  /// happen at or after \p until.
+  void main_loop(Seconds until = std::numeric_limits<Seconds>::infinity());
+  [[nodiscard]] SimResult finalize() const;
+  /// The makespan and total cost finalize() would report.
+  [[nodiscard]] MoveOutcome outcome() const;
+
+  /// Becomes a copy of \p other's run, paused wherever \p other is.
+  void copy_state_from(const Engine& other);
+  /// Moves \p task, not yet started, from position \p from_index of its
+  /// VM's list to position \p to_index of \p target's (a fresh VM of
+  /// \p fresh_category when \p target is invalid_vm), and rebuilds the
+  /// state the move touches (DESIGN.md Section 12).  Throws the
+  /// Schedule::validate error when the move breaks same-VM order.
+  void apply_move(dag::TaskId task, std::size_t from_index, VmId target,
+                  platform::CategoryId fresh_category, std::size_t to_index);
+
+  [[nodiscard]] bool has_bus() const { return bus_ != nullptr; }
+
+ private:
+  /// The two link queues of one VM.
+  struct VmLinks {
+    LinkQueue up;
+    LinkQueue down;
+  };
+
+  /// What finalize() and outcome() both sum, in the same order.
+  struct Totals {
+    Seconds start_first = 0;
+    Seconds end_last = 0;
+    platform::CostBreakdown cost;
+  };
+
+  const dag::Workflow& wf_;
+  const platform::Platform& platform_;
+  obs::EventBus* const bus_;  // nullptr = no observability
+
+  // Pools: only the first vms_.size() entries belong to the current run.
+  std::vector<VmPlan> plans_;
+  std::vector<VmLinks> links_;
+
+  // Scratch: FluidNetwork::advance output, and recover_tasks' buffers (it
+  // never re-enters itself).
+  std::vector<FlowId> completed_flows_;
+  std::vector<dag::TaskId> recovery_moved_;
+  std::vector<dag::TaskId> recovery_tail_;
+  std::vector<TransferJob> recovery_uploads_;
 
   // ---- helpers --------------------------------------------------------------
 
@@ -270,9 +314,6 @@ class Simulator::Engine {
 
   [[nodiscard]] InstrPerSec vm_speed(VmId vm) const { return vm_category(vm).speed; }
 
-  void init(const Schedule& schedule, const dag::WeightRealization& weights,
-            const OnlinePolicy* policy, const FaultModel* faults, const RecoveryPolicy* recovery);
-  void main_loop();
   void request_boot(VmId vm);
   void maybe_request_boot(VmId vm);
   void on_boot_done(VmId vm);
@@ -296,7 +337,7 @@ class Simulator::Engine {
   void fail_task(dag::TaskId task);
   [[nodiscard]] Dollars committed_vm_cost() const;
   [[noreturn]] void report_deadlock() const;
-  [[nodiscard]] SimResult finalize() const;
+  [[nodiscard]] Totals totals() const;
 };
 
 void Simulator::Engine::init(const Schedule& schedule, const dag::WeightRealization& weights,
@@ -359,7 +400,9 @@ void Simulator::Engine::init(const Schedule& schedule, const dag::WeightRealizat
     }
     if (wf_.external_input_of(t) > 0) ++tasks_[t].remote_in_pending;
   }
+}
 
+void Simulator::Engine::start() {
   if (obs_) {
     // The static placement, one dispatch per task in list order.
     for (VmId v = 0; v < vms_.size(); ++v)
@@ -1071,7 +1114,7 @@ void Simulator::Engine::enqueue_moved_downloads(VmId vm, const std::vector<dag::
   }
 }
 
-void Simulator::Engine::main_loop() {
+void Simulator::Engine::main_loop(Seconds until) {
   const obs::ProfileScope scope("sim.event_loop");
   while (tasks_terminal_ < wf_.task_count() || fluid_.active_count() > 0 ||
          pending_retries_ > 0) {
@@ -1081,6 +1124,7 @@ void Simulator::Engine::main_loop() {
       if (tasks_terminal_ < wf_.task_count()) report_deadlock();
       break;
     }
+    if (std::min(flow_time, event_time) >= until) return;  // paused
     if (flow_time <= event_time) {
       now_ = flow_time;
       fluid_.advance(now_, completed_flows_);
@@ -1125,6 +1169,45 @@ void Simulator::Engine::report_deadlock() const {
   throw ValidationError(os.str());
 }
 
+Simulator::Engine::Totals Simulator::Engine::totals() const {
+  Totals totals;
+  Seconds start_first = infinity;
+  bool billed = false;
+  for (VmId v = 0; v < vms_.size(); ++v) {
+    const VmState& state = vms_[v];
+    // Every VM that came *up* bills, including one abandoned by a migration
+    // or killed by a crash; a provisioning that never succeeded is uncharged.
+    if (state.boot != BootState::up) continue;
+    billed = true;
+    const Seconds end = std::max(state.end, state.boot_done);
+    start_first = std::min(start_first, state.boot_request);
+    totals.end_last = std::max(totals.end_last, end);
+    const platform::VmCategory& category = vm_category(v);
+    const Dollars vm_total =
+        platform::vm_cost(category, state.boot_done, end, platform_.billing_quantum());
+    totals.cost.vm_time += vm_total - category.setup_cost;
+    totals.cost.vm_setup += category.setup_cost;
+  }
+  if (!billed) return totals;  // nothing ever came up
+  totals.start_first = start_first;
+
+  Bytes dc_footprint = wf_.external_input_bytes() + wf_.external_output_bytes();
+  for (dag::EdgeId e = 0; e < wf_.edge_count(); ++e)
+    if (edge_needs_transfer_[e]) dc_footprint += wf_.edge(e).bytes;
+  const platform::CostBreakdown dc =
+      platform::datacenter_cost(platform_, wf_.external_input_bytes(),
+                                wf_.external_output_bytes(), start_first, totals.end_last,
+                                dc_footprint);
+  totals.cost.dc_time = dc.dc_time;
+  totals.cost.dc_transfer = dc.dc_transfer;
+  return totals;
+}
+
+MoveOutcome Simulator::Engine::outcome() const {
+  const Totals sums = totals();
+  return {sums.end_last - sums.start_first, sums.cost.total()};
+}
+
 SimResult Simulator::Engine::finalize() const {
   SimResult result;
   result.tasks = records_;
@@ -1133,13 +1216,7 @@ SimResult Simulator::Engine::finalize() const {
   result.faults = stats_;
   result.events_processed = events_processed_;
 
-  Seconds start_first = infinity;
-  Seconds end_last = 0;
   std::vector<obs::Event> tail_events;  // synthesized shutdown/billing events
-  Bytes dc_footprint = wf_.external_input_bytes() + wf_.external_output_bytes();
-  for (dag::EdgeId e = 0; e < wf_.edge_count(); ++e)
-    if (edge_needs_transfer_[e]) dc_footprint += wf_.edge(e).bytes;
-
   for (VmId v = 0; v < vms_.size(); ++v) {
     const VmState& state = vms_[v];
     VmRecord& record = result.vms[v];
@@ -1151,21 +1228,15 @@ SimResult Simulator::Engine::finalize() const {
     if (state.boot == BootState::unrequested) continue;
     record.boot_request = state.boot_request;
     record.boot_done = state.boot_done;
-    // Every VM that came *up* bills, including one abandoned by a migration
-    // or killed by a crash; a provisioning that never succeeded is uncharged.
-    if (state.boot != BootState::up) continue;
+    if (state.boot != BootState::up) continue;  // never billed (see totals())
     record.billed = true;
     record.end = std::max(state.end, state.boot_done);
     record.busy = state.busy;
     ++result.used_vms;
-    start_first = std::min(start_first, state.boot_request);
-    end_last = std::max(end_last, record.end);
     const platform::VmCategory& category = platform_.category(record.category);
-    const Dollars vm_total = platform::vm_cost(category, state.boot_done, record.end,
-                                               platform_.billing_quantum());
-    result.cost.vm_time += vm_total - category.setup_cost;
-    result.cost.vm_setup += category.setup_cost;
-    if (state.recovery_vm) result.faults.recovery_cost += vm_total;
+    if (state.recovery_vm)
+      result.faults.recovery_cost +=
+          platform::vm_cost(category, state.boot_done, record.end, platform_.billing_quantum());
     if (obs_) {
       // Billing-quantum boundaries crossed by this VM's billed interval,
       // synthesized at shutdown (the engine itself bills lazily).  Capped so
@@ -1195,19 +1266,12 @@ SimResult Simulator::Engine::finalize() const {
                    [](const obs::Event& a, const obs::Event& b) { return a.time < b.time; });
   for (const obs::Event& event : tail_events) emit(event);
   CLOUDWF_ASSERT(result.used_vms > 0 || stats_.failed_tasks > 0);
-  if (start_first == infinity) start_first = 0;  // nothing ever came up
 
-  result.start_first = start_first;
-  result.end_last = end_last;
-  result.makespan = end_last - start_first;
-
-  if (result.used_vms > 0) {
-    const platform::CostBreakdown dc =
-        platform::datacenter_cost(platform_, wf_.external_input_bytes(),
-                                  wf_.external_output_bytes(), start_first, end_last, dc_footprint);
-    result.cost.dc_time = dc.dc_time;
-    result.cost.dc_transfer = dc.dc_transfer;
-  }
+  const Totals sums = totals();
+  result.start_first = sums.start_first;
+  result.end_last = sums.end_last;
+  result.makespan = sums.end_last - sums.start_first;
+  result.cost = sums.cost;
 
   result.transfers.count = transfers_done_;
   result.transfers.bytes = transfer_bytes_;
@@ -1215,10 +1279,97 @@ SimResult Simulator::Engine::finalize() const {
   return result;
 }
 
+void Simulator::Engine::copy_state_from(const Engine& other) {
+  EngineState::operator=(other);
+  // The pools keep their entries past the copied VM count.
+  if (plans_.size() < vms_.size()) {
+    plans_.resize(vms_.size());
+    links_.resize(vms_.size());
+  }
+  for (VmId v = 0; v < vms_.size(); ++v) {
+    plans_[v] = other.plans_[v];
+    links_[v] = other.links_[v];
+  }
+}
+
+void Simulator::Engine::apply_move(dag::TaskId task, std::size_t from_index, VmId target,
+                                   platform::CategoryId fresh_category, std::size_t to_index) {
+  auto& from_tasks = plans_[vm_of_[task]].tasks;
+  CLOUDWF_ASSERT(from_tasks[from_index] == task && !tasks_[task].started);
+  from_tasks.erase(from_tasks.begin() + static_cast<std::ptrdiff_t>(from_index));
+  if (target == invalid_vm) {
+    target = add_vm(fresh_category, std::span(&task, 1));
+  } else {
+    auto& to_tasks = plans_[target].tasks;
+    to_tasks.insert(to_tasks.begin() + static_cast<std::ptrdiff_t>(to_index), task);
+  }
+  vm_of_[task] = target;
+  records_[task].vm = target;
+
+  // Same-VM order: only the edges touching the task can break it; report
+  // the first one in edge order, as Schedule::validate would.
+  const auto& plan = plans_[target].tasks;
+  const auto position = [&plan](dag::TaskId t) {
+    return static_cast<std::size_t>(std::find(plan.begin(), plan.end(), t) - plan.begin());
+  };
+  constexpr dag::EdgeId none = std::numeric_limits<dag::EdgeId>::max();
+  dag::EdgeId misordered = none;
+  for (dag::EdgeId e : wf_.in_edges(task))
+    if (vm_of_[wf_.edge(e).src] == target && position(wf_.edge(e).src) >= to_index)
+      misordered = std::min(misordered, e);
+  for (dag::EdgeId e : wf_.out_edges(task))
+    if (vm_of_[wf_.edge(e).dst] == target && to_index >= position(wf_.edge(e).dst))
+      misordered = std::min(misordered, e);
+  if (misordered != none) throw_same_vm_order_error(wf_, wf_.edge(misordered));
+
+  // The task has not started and none of its inputs has reached the DC
+  // yet: its counters are those init() would set on the new VM.
+  TaskState& ts = tasks_[task];
+  ts.remote_in_pending = wf_.external_input_of(task) > 0 ? 1 : 0;
+  ts.local_in_pending = 0;
+  ts.dc_in_pending = 0;
+  for (dag::EdgeId e : wf_.in_edges(task)) {
+    const bool cross = vm_of_[wf_.edge(e).src] != target;
+    edge_needs_transfer_[e] = cross;
+    if (cross) {
+      ++ts.remote_in_pending;
+      ++ts.dc_in_pending;
+    } else {
+      ++ts.local_in_pending;
+    }
+  }
+
+  // Consumers whose input from the task flips between local and cross-VM.
+  for (dag::EdgeId e : wf_.out_edges(task)) {
+    const dag::TaskId consumer = wf_.edge(e).dst;
+    const bool cross = vm_of_[consumer] != target;
+    if (cross == edge_needs_transfer_[e]) continue;
+    edge_needs_transfer_[e] = cross;
+    TaskState& cs = tasks_[consumer];
+    if (cross) {
+      --cs.local_in_pending;
+      ++cs.remote_in_pending;
+      ++cs.dc_in_pending;
+      records_[consumer].inputs_at_dc = 0;  // not all at the DC any more
+      continue;
+    }
+    ++cs.local_in_pending;
+    --cs.remote_in_pending;
+    if (--cs.dc_in_pending > 0) continue;
+    // Its other cross-VM inputs are all at the DC: they completed the set
+    // when the last of them arrived.
+    Seconds at_dc = 0;
+    for (dag::EdgeId in : wf_.in_edges(consumer))
+      if (edge_needs_transfer_[in]) at_dc = std::max(at_dc, edge_at_dc_[in]);
+    records_[consumer].inputs_at_dc = at_dc;
+  }
+}
+
 SimResult Simulator::Engine::run(const Schedule& schedule, const dag::WeightRealization& weights,
                                  const OnlinePolicy* policy, const FaultModel* faults,
                                  const RecoveryPolicy* recovery) {
   init(schedule, weights, policy, faults, recovery);
+  start();
   main_loop();
   SimResult result = finalize();
   if (obs_) bus_->flush();
@@ -1256,6 +1407,7 @@ Simulator::~Simulator() = default;
 SimResult Simulator::checked_run(const Schedule& schedule, const dag::WeightRealization& weights,
                                  const OnlinePolicy* policy, const FaultModel* faults,
                                  const RecoveryPolicy* recovery) {
+  require(!sweeping_, "Simulator: run during a move sweep of the same Simulator");
   SimResult result = engine_->run(schedule, weights, policy, faults, recovery);
   if (const PostRunCheck hook = post_run_check()) hook(wf_, platform_, schedule, result);
   return result;
@@ -1287,6 +1439,111 @@ SimResult Simulator::run_conservative(const Schedule& schedule) {
 
 SimResult Simulator::run_mean(const Schedule& schedule) {
   return run(schedule, dag::mean_weights(wf_));
+}
+
+void move_task(Schedule& schedule, dag::TaskId task, const MoveTarget& target) {
+  schedule.move(task, target.vm == invalid_vm ? schedule.add_vm(target.category) : target.vm);
+}
+
+std::vector<MoveOutcome> Simulator::sweep_moves(const Schedule& base, const SimResult& base_result,
+                                                dag::TaskId task,
+                                                std::span<const MoveTarget> targets) {
+  require(!engine_->has_bus(), "Simulator::sweep_moves: needs a Simulator without an event bus");
+  require(!sweeping_, "Simulator::sweep_moves: a sweep is already in progress");
+  require(task < wf_.task_count(), "Simulator::sweep_moves: task out of range");
+  require(base_result.tasks.size() == wf_.task_count() &&
+              base_result.vms.size() == base.vm_count() && base_result.success(),
+          "Simulator::sweep_moves: base_result is not a fault-free run of base");
+  if (!conservative_) conservative_ = dag::conservative_weights(wf_);
+  if (!probe_) probe_ = std::make_unique<Engine>(wf_, platform_, nullptr);
+
+  // Divergence time of each candidate (DESIGN.md Section 12): before it,
+  // the candidate's run is the base run event for event.
+  const auto& tasks = base_result.tasks;
+  const auto& vms = base_result.vms;
+  const VmId from = base.vm_of(task);
+  const std::span<const dag::TaskId> from_list = base.vm_tasks(from);
+  const auto from_index =
+      static_cast<std::size_t>(std::find(from_list.begin(), from_list.end(), task) -
+                               from_list.begin());
+  const bool external_input = wf_.external_input_of(task) > 0;
+  Seconds common = wf_.in_edges(task).empty() ? 0 : infinity;  // 1. predecessors finish
+  for (dag::EdgeId e : wf_.in_edges(task))
+    common = std::min(common, tasks[wf_.edge(e).src].finish);
+  if (from_index > 0) {  // 2. the previous task on the source VM starts
+    common = std::min(common, tasks[from_list[from_index - 1]].start);
+  } else {  // ... or the source VM, or its next task, would book without the task
+    common = std::min(common, vms[from].boot_request);
+    if (from_list.size() > 1) common = std::min(common, tasks[from_list[1]].inputs_at_dc);
+  }
+  if (external_input) common = std::min(common, vms[from].boot_done);  // 4. boot scan
+
+  steps_.clear();
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const MoveTarget& target = targets[i];
+    SweepStep step{common, i, 0};
+    if (target.vm == invalid_vm) {
+      require(target.category < platform_.category_count(),
+              "Simulator::sweep_moves: fresh VM category out of range");
+    } else {
+      require(target.vm < base.vm_count() && target.vm != from,
+              "Simulator::sweep_moves: target must be another VM of the base schedule");
+      step.insert_at = base.insert_position(task, target.vm);
+      if (step.insert_at > 0)  // 3. the previous task on the target VM starts
+        step.divergence = std::min(
+            step.divergence, tasks[base.vm_tasks(target.vm)[step.insert_at - 1]].start);
+      else  // ... or the target VM books
+        step.divergence = std::min(step.divergence, vms[target.vm].boot_request);
+      if (external_input) step.divergence = std::min(step.divergence, vms[target.vm].boot_done);
+    }
+    steps_.push_back(step);
+  }
+  std::sort(steps_.begin(), steps_.end(), [](const SweepStep& a, const SweepStep& b) {
+    return a.divergence != b.divergence ? a.divergence < b.divergence : a.target < b.target;
+  });
+
+  std::vector<MoveOutcome> outcomes(targets.size());
+  const PostRunCheck hook = post_run_check();
+  std::exception_ptr error;
+  std::size_t error_target = targets.size();
+  sweeping_ = true;
+  const struct EndSweep {
+    bool& flag;
+    ~EndSweep() { flag = false; }
+  } end_sweep{sweeping_};
+  engine_->init(base, *conservative_, nullptr, nullptr, nullptr);
+  bool started = false;  // T = 0 resumes before the time-zero boot pass
+  for (const SweepStep& step : steps_) {
+    if (!started && step.divergence > 0) {
+      engine_->start();
+      started = true;
+    }
+    if (started) engine_->main_loop(step.divergence);
+    const MoveTarget& target = targets[step.target];
+    try {
+      probe_->copy_state_from(*engine_);
+      probe_->apply_move(task, from_index, target.vm, target.category, step.insert_at);
+      if (!started) probe_->start();
+      probe_->main_loop();
+      if (hook == nullptr) {
+        outcomes[step.target] = probe_->outcome();
+        continue;
+      }
+      // Hand the candidate to the hook as a run of it would.
+      Schedule candidate = base;
+      move_task(candidate, task, target);
+      const SimResult result = probe_->finalize();
+      hook(wf_, platform_, candidate, result);
+      outcomes[step.target] = {result.makespan, result.total_cost()};
+    } catch (...) {
+      if (step.target < error_target) {
+        error = std::current_exception();
+        error_target = step.target;
+      }
+    }
+  }
+  if (error) std::rethrow_exception(error);
+  return outcomes;
 }
 
 std::vector<dag::TaskId> schedule_critical_path(const SimResult& result) {

@@ -29,6 +29,8 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "dag/stochastic.hpp"
 #include "dag/workflow.hpp"
@@ -64,6 +66,28 @@ struct OnlinePolicy {
   Dollars budget_cap = std::numeric_limits<Dollars>::infinity();  ///< spend guard
 };
 
+/// One destination of a task move in Simulator::sweep_moves: an existing VM
+/// of the base schedule, or a fresh VM of a category appended to it.
+struct MoveTarget {
+  VmId vm = invalid_vm;               ///< existing VM; invalid_vm = a fresh VM
+  platform::CategoryId category = 0;  ///< category of the fresh VM
+
+  [[nodiscard]] static MoveTarget existing(VmId vm) { return {vm, 0}; }
+  [[nodiscard]] static MoveTarget fresh(platform::CategoryId category) {
+    return {invalid_vm, category};
+  }
+};
+
+/// Applies \p target to \p schedule the way sweep_moves judges it:
+/// Schedule::move, after Schedule::add_vm for a fresh VM.
+void move_task(Schedule& schedule, dag::TaskId task, const MoveTarget& target);
+
+/// What a move sweep reports for one target.
+struct MoveOutcome {
+  Seconds makespan = 0;  ///< SimResult::makespan
+  Dollars cost = 0;      ///< SimResult::total_cost()
+};
+
 /// Executes schedules for one (workflow, platform) pair.
 ///
 /// A Simulator owns the execution state of its runs: the mutable VM plans,
@@ -76,7 +100,8 @@ struct OnlinePolicy {
 ///
 /// One Simulator serves one thread: the run* methods mutate the owned
 /// state, so concurrent runs need one Simulator each (they are cheap to
-/// construct and may share the workflow and platform).
+/// construct and may share the workflow and platform).  Nothing may run a
+/// Simulator while its own sweep_moves is in progress.
 class Simulator {
  public:
   /// Both references must outlive the simulator.  When \p bus is non-null
@@ -114,6 +139,26 @@ class Simulator {
   /// Convenience: run with mean weights.
   [[nodiscard]] SimResult run_mean(const Schedule& schedule);
 
+  /// Conservative move sweep (the inner loop of Algorithm 5 and CG+).  For
+  /// each of \p targets, returns the makespan and total cost that
+  /// run_conservative reports for \p base with \p task moved there —
+  /// Schedule::move, after Schedule::add_vm for a fresh target — bit for
+  /// bit.  \p base_result must be run_conservative(base).
+  ///
+  /// The base schedule runs once.  Before the first event at a candidate's
+  /// divergence time (the earliest moment the move can change anything;
+  /// DESIGN.md Section 12) its state is copied into a second engine, the
+  /// move is patched into the copy, and the copy runs to the end.  Only a
+  /// Simulator without an event bus may sweep.  When a post-run hook is
+  /// installed, each candidate schedule is built and handed to it with its
+  /// full result, as a run would.  A candidate that fails (a same-VM order
+  /// violation, a deadlock, a throwing hook) throws after the sweep; with
+  /// several, the one of the lowest target index wins, as in a loop of runs.
+  [[nodiscard]] std::vector<MoveOutcome> sweep_moves(const Schedule& base,
+                                                     const SimResult& base_result,
+                                                     dag::TaskId task,
+                                                     std::span<const MoveTarget> targets);
+
   [[nodiscard]] const dag::Workflow& workflow() const { return wf_; }
   [[nodiscard]] const platform::Platform& platform() const { return platform_; }
 
@@ -125,10 +170,20 @@ class Simulator {
                                       const OnlinePolicy* policy, const FaultModel* faults,
                                       const RecoveryPolicy* recovery);
 
+  /// One candidate of a sweep, in divergence-time order.
+  struct SweepStep {
+    Seconds divergence = 0;
+    std::size_t target = 0;     ///< index into the targets
+    std::size_t insert_at = 0;  ///< position in the target VM's list
+  };
+
   const dag::Workflow& wf_;
   const platform::Platform& platform_;
   std::unique_ptr<Engine> engine_;
+  std::unique_ptr<Engine> probe_;  ///< resumes sweep candidates; built on first use
+  std::vector<SweepStep> steps_;
   std::optional<dag::WeightRealization> conservative_;
+  bool sweeping_ = false;  ///< the base engine is paused mid-run
 };
 
 /// Extracts the schedule's critical path from a SimResult: the chain of

@@ -23,13 +23,23 @@
 /// run also grows the state to the VMs that crash recovery provisions
 /// beyond the warm-up run's.
 ///
+/// A move sweep (Simulator::sweep_moves) judges a refinement candidate
+/// without a run of its own.  Sweeping every task of the 90-task heft-budg
+/// schedule over its 3,330 refinement targets (bound in parentheses):
+///   one run_conservative per candidate, before sweeps:  10,260 (3.08 per candidate)
+///   sweep_moves per task:                                   180 (0.054 per candidate) (333)
+/// Two allocations are left per sweep: the returned outcomes and the
+/// position table of the base schedule's validation.
+///
 /// The counter (bench/alloc_counter.hpp) replaces the global operator new,
 /// which is why this file is its own test executable.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "alloc_counter.hpp"
 
@@ -120,6 +130,46 @@ TEST(AllocBudget, FaultRunOf300TaskMontageUnderContention) {
   EXPECT_GT(result.faults.crashes, 0u) << "the counted run must exercise crash recovery";
   EXPECT_GT(count, 0u) << "the allocation counter is not wired";
   EXPECT_LE(count, 40u);
+}
+
+TEST(AllocBudget, MoveSweepOf90TaskCyberShake) {
+  // Every task of a heft-budg schedule swept over the targets refinement
+  // gives it: the other used VMs and a fresh VM per category.
+  sim::set_post_run_check(nullptr);
+  const dag::Workflow wf = pegasus::generate(pegasus::WorkflowType::cybershake, {90, 1, 0.5});
+  const platform::Platform platform = platform::paper_platform();
+  const Dollars budget = exp::compute_budget_levels(wf, platform).medium;
+  const sched::SchedulerOutput out =
+      sched::make_scheduler("heft-budg")->schedule({wf, platform, budget});
+  const sim::Schedule& base = out.schedule;
+  std::vector<std::vector<sim::MoveTarget>> targets(wf.task_count());
+  std::size_t candidates = 0;
+  for (dag::TaskId t = 0; t < wf.task_count(); ++t) {
+    for (sim::VmId vm = 0; vm < base.vm_count(); ++vm)
+      if (vm != base.vm_of(t)) targets[t].push_back(sim::MoveTarget::existing(vm));
+    for (platform::CategoryId c = 0; c < platform.category_count(); ++c)
+      targets[t].push_back(sim::MoveTarget::fresh(c));
+    candidates += targets[t].size();
+  }
+  sim::Simulator simulator(wf, platform);
+  const sim::SimResult base_result = simulator.run_conservative(base);
+  const auto sweep_all = [&] {
+    Seconds best = base_result.makespan;
+    for (dag::TaskId t = 0; t < wf.task_count(); ++t)
+      for (const sim::MoveOutcome& outcome :
+           simulator.sweep_moves(base, base_result, t, targets[t]))
+        best = std::min(best, outcome.makespan);
+    return best;
+  };
+  const Seconds warm = sweep_all();
+
+  Seconds best = 0;
+  const std::size_t count = allocations_of([&] { best = sweep_all(); });
+  RecordProperty("allocations", std::to_string(count));
+  RecordProperty("candidates", std::to_string(candidates));
+  EXPECT_EQ(best, warm);
+  EXPECT_GT(count, 0u) << "the allocation counter is not wired";
+  EXPECT_LE(count, candidates / 10);
 }
 
 class ParseBudget : public ::testing::Test {

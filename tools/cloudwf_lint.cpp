@@ -698,7 +698,7 @@ int dispatch(const cli::Args& args) {
     std::cerr << "wrote " << out << '\n';
   }
   if (!report.ok()) {
-    std::cout << report.text();
+    std::cout << report.text() << '\n';
     return 1;
   }
   std::cout << "OK: " << report.checks_run << " checks passed\n";
