@@ -12,7 +12,10 @@
 ///   - Table III(b): MONTAGE {30, 60, 90, 400} tasks ({30, 60} with
 ///     CLOUDWF_QUICK) x the six list algorithms at the high budget.
 /// Every cell records its planning time and three deterministic work
-/// counters: placement probes, simulations run and engine events.  The
+/// counters: placement probes, simulations (runs plus the move-sweep
+/// candidates simulated) and engine events processed, read from
+/// sim::engine_counters().  No post-run hook is installed, so the cells
+/// time the path a campaign runs, move-sweep screening included.  The
 /// stdout rows of the Table III cells are the paper's Table III report.
 ///
 /// The output file is the perf gate's baseline: CI re-runs this binary and
@@ -102,17 +105,10 @@ double calibration_ms() {
   return median(times);
 }
 
-/// Simulations and engine events, counted by the post-run hook.
-struct SimCounts {
-  std::size_t runs = 0;
-  std::size_t events = 0;
-};
-SimCounts sim_counts;
-
-void count_run(const dag::Workflow& /*wf*/, const platform::Platform& /*platform*/,
-               const sim::Schedule& /*schedule*/, const sim::SimResult& result) {
-  ++sim_counts.runs;
-  sim_counts.events += result.events_processed;
+/// Simulations on this thread so far: runs and simulated sweep candidates.
+std::size_t sims_so_far() {
+  const sim::EngineCounters& counters = sim::engine_counters();
+  return counters.runs + counters.simulated;
 }
 
 /// One benchmark cell and, once measured, its results.
@@ -157,14 +153,15 @@ void measure(Cell& cell, const Instance& instance, const platform::Platform& pla
   if (!cell.refining) sink += scheduler->schedule(input).predicted_makespan;
   for (std::size_t s = 0; s < cell.samples; ++s) {
     const std::size_t probes_before = sched::probe_count();
-    const SimCounts sims_before = sim_counts;
+    const std::size_t sims_before = sims_so_far();
+    const std::size_t events_before = sim::engine_counters().events;
     const auto start = Clock::now();
     sink += scheduler->schedule(input).predicted_makespan;
     const double ms = elapsed_ms(start);
     cell.plan_ms = s == 0 ? ms : std::min(cell.plan_ms, ms);
     cell.probes = sched::probe_count() - probes_before;
-    cell.sims = sim_counts.runs - sims_before.runs;
-    cell.events = sim_counts.events - sims_before.events;
+    cell.sims = sims_so_far() - sims_before;
+    cell.events = sim::engine_counters().events - events_before;
   }
 }
 
@@ -317,7 +314,6 @@ int main(int argc, char** argv) {
       {"3a", "Table III(a) — CPU time vs budget"},
       {"3b", "Table III(b) — CPU time vs task count, high budget"}};
   double sink = 0;  // keeps the schedules and runs observable
-  sim::set_post_run_check(&count_run);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     Cell& cell = cells[i];
     const std::pair key{cell.type, cell.tasks};
@@ -331,7 +327,6 @@ int main(int argc, char** argv) {
     if (i == 0 || cells[i - 1].table != cell.table) print_cell_header(titles.at(cell.table));
     print_cell(cell);
   }
-  sim::set_post_run_check(nullptr);
 
   Json::Object doc;
   doc["schema"] = std::string("cloudwf-bench-sched-v1");

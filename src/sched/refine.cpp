@@ -36,9 +36,11 @@ std::size_t refine_by_resimulation(const SchedulerInput& input, sim::Schedule& s
   for (const dag::TaskId task : order) {
     refinement_targets(schedule, input.platform, task, targets);
     // The accept rule, replayed over the outcomes in target order, so
-    // ties resolve as they would in a loop of runs.
+    // ties resolve as they would in a loop of runs.  best_makespan only
+    // falls during the replay, so a candidate the sweep screens against
+    // its value here would be rejected anyway.
     const std::vector<sim::MoveOutcome> outcomes =
-        simulator.sweep_moves(schedule, base, task, targets);
+        simulator.sweep_moves(schedule, base, task, targets, best_makespan);
     std::size_t selected = targets.size();
     for (std::size_t i = 0; i < targets.size(); ++i) {
       if (outcomes[i].makespan < best_makespan &&

@@ -33,8 +33,9 @@ void refinement_targets(const sim::Schedule& schedule, const platform::Platform&
 
 /// The same sweep on \p simulator, which must have been built for
 /// (input.wf, input.platform) without an event bus.  The candidates of one
-/// task are judged by one Simulator::sweep_moves, and every accepted move
-/// re-runs the new schedule once for the next task's sweep.
+/// task are judged by one Simulator::sweep_moves, which screens out those
+/// whose makespan lower bound exceeds the best makespan so far, and every
+/// accepted move re-runs the new schedule once for the next task's sweep.
 std::size_t refine_by_resimulation(const SchedulerInput& input, sim::Schedule& schedule,
                                    std::span<const dag::TaskId> order,
                                    sim::Simulator& simulator);

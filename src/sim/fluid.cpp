@@ -34,8 +34,7 @@ void FluidNetwork::reset() {
 void FluidNetwork::advance(Seconds now, std::vector<FlowId>& completed) {
   progress_to(now);
   completed.clear();
-  // Completion tolerance scaled to rate: one nanosecond of transfer.
-  const Bytes tolerance = current_rate() * 1e-9;
+  const Bytes tolerance = current_rate() * completion_tolerance;
   for (auto it = active_.begin(); it != active_.end();) {
     Flow& flow = flows_[*it];
     if (flow.remaining <= tolerance) {

@@ -26,6 +26,10 @@ using FlowId = std::uint32_t;
 /// Sentinel for "no flow".
 inline constexpr FlowId invalid_flow = std::numeric_limits<FlowId>::max();
 
+/// A flow completes once its remaining bytes would take at most this long
+/// at the current rate, so it may complete up to this much early.
+inline constexpr Seconds completion_tolerance = 1e-9;
+
 /// Event-driven fluid network: flows progress at a common rate that depends
 /// on how many are active.
 class FluidNetwork {

@@ -29,7 +29,9 @@
 ///   one run_conservative per candidate, before sweeps:  10,260 (3.08 per candidate)
 ///   sweep_moves per task:                                   180 (0.054 per candidate) (333)
 /// Two allocations are left per sweep: the returned outcomes and the
-/// position table of the base schedule's validation.
+/// position table of the base schedule's validation.  The same sweep with
+/// the base makespan as its rejection threshold computes every candidate's
+/// lower bound in buffers the Simulator keeps, and allocates no more.
 ///
 /// The counter (bench/alloc_counter.hpp) replaces the global operator new,
 /// which is why this file is its own test executable.
@@ -38,6 +40,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -132,9 +135,11 @@ TEST(AllocBudget, FaultRunOf300TaskMontageUnderContention) {
   EXPECT_LE(count, 40u);
 }
 
-TEST(AllocBudget, MoveSweepOf90TaskCyberShake) {
-  // Every task of a heft-budg schedule swept over the targets refinement
-  // gives it: the other used VMs and a fresh VM per category.
+/// Allocations of a warmed-up sweep of every task of the 90-task
+/// heft-budg schedule over the targets refinement gives it (the other used
+/// VMs and a fresh VM per category), with the rejection \p threshold of
+/// the base makespan scaled by \p threshold_factor.
+void sweep_every_task(double threshold_factor) {
   sim::set_post_run_check(nullptr);
   const dag::Workflow wf = pegasus::generate(pegasus::WorkflowType::cybershake, {90, 1, 0.5});
   const platform::Platform platform = platform::paper_platform();
@@ -153,23 +158,37 @@ TEST(AllocBudget, MoveSweepOf90TaskCyberShake) {
   }
   sim::Simulator simulator(wf, platform);
   const sim::SimResult base_result = simulator.run_conservative(base);
+  const Seconds threshold = base_result.makespan * threshold_factor;
   const auto sweep_all = [&] {
     Seconds best = base_result.makespan;
     for (dag::TaskId t = 0; t < wf.task_count(); ++t)
       for (const sim::MoveOutcome& outcome :
-           simulator.sweep_moves(base, base_result, t, targets[t]))
+           simulator.sweep_moves(base, base_result, t, targets[t], threshold))
         best = std::min(best, outcome.makespan);
     return best;
   };
   const Seconds warm = sweep_all();
 
   Seconds best = 0;
+  const std::size_t screened = sim::engine_counters().screened;
   const std::size_t count = allocations_of([&] { best = sweep_all(); });
-  RecordProperty("allocations", std::to_string(count));
-  RecordProperty("candidates", std::to_string(candidates));
+  ::testing::Test::RecordProperty("allocations", std::to_string(count));
+  ::testing::Test::RecordProperty("candidates", std::to_string(candidates));
+  ::testing::Test::RecordProperty("screened",
+                                  std::to_string(sim::engine_counters().screened - screened));
   EXPECT_EQ(best, warm);
   EXPECT_GT(count, 0u) << "the allocation counter is not wired";
   EXPECT_LE(count, candidates / 10);
+}
+
+TEST(AllocBudget, MoveSweepOf90TaskCyberShake) {
+  sweep_every_task(std::numeric_limits<double>::infinity());
+}
+
+TEST(AllocBudget, ScreenedMoveSweepOf90TaskCyberShake) {
+  // Every candidate's lower bound is computed; those above the base
+  // makespan are not simulated.
+  sweep_every_task(1.0);
 }
 
 class ParseBudget : public ::testing::Test {

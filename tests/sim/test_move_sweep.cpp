@@ -6,7 +6,18 @@
 /// Every case here compares, bit for bit, what the sweep reports with
 /// run_conservative on the candidate schedule built the way refinement
 /// builds it: the makespan and cost the sweep returns, and every field of
-/// the SimResult it hands to the post-run hook.
+/// the SimResult it hands to the post-run hook.  The hooked sweeps also
+/// audit every candidate's makespan against its lower bound.
+///
+/// The lower bound behind screening (Simulator::makespan_lower_bound) is
+/// checked against full runs of every candidate of the random corpora, and
+/// screened sweeps against unscreened ones.  Each of these mutations of the
+/// bound fails at least one case:
+///  - the bound scaled by 1.05 (the random corpora);
+///  - finish-to-start list-order constraints on multi-processor VMs too
+///    (the random corpora);
+///  - transfers not shortened by the fluid network's completion tolerance
+///    (the early-completion case).
 ///
 /// Each divergence rule and the inputs_at_dc fix-up of the patch is needed;
 /// each of these mutations of the sweep fails at least one case:
@@ -24,6 +35,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -32,6 +46,7 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "dag/analysis.hpp"
+#include "dag/stochastic.hpp"
 #include "exp/budget_levels.hpp"
 #include "obs/event_bus.hpp"
 #include "pegasus/generator.hpp"
@@ -125,6 +140,7 @@ std::vector<MoveTarget> all_targets(const Schedule& schedule, const platform::Pl
 struct Tally {
   std::size_t candidates = 0;  ///< swept candidates
   std::size_t hooked = 0;      ///< results the comparing hook saw
+  std::size_t screened = 0;    ///< candidates a screened sweep did not simulate
   std::size_t mismatches = 0;
   std::string first;  ///< the first mismatch, described
 
@@ -283,37 +299,180 @@ dag::Workflow with_mid_dag_inputs(const dag::Workflow& wf, Rng& rng) {
   return out;
 }
 
+/// \p wf with about a quarter of its edges carrying no data.
+dag::Workflow with_empty_edges(const dag::Workflow& wf, Rng& rng) {
+  dag::Workflow out(wf.name() + "-empty-edges");
+  for (dag::TaskId t = 0; t < wf.task_count(); ++t) {
+    const dag::Task& task = wf.task(t);
+    out.add_task(task.name, task.mean_weight, task.weight_stddev, task.type);
+    if (wf.external_input_of(t) > 0) out.add_external_input(t, wf.external_input_of(t));
+    if (wf.external_output_of(t) > 0) out.add_external_output(t, wf.external_output_of(t));
+  }
+  for (const dag::Edge& e : wf.edges()) out.add_edge(e.src, e.dst, rng.below(4) == 0 ? 0 : e.bytes);
+  out.freeze();
+  return out;
+}
+
+/// The workflows of a fuzz corpus.
+enum class Corpus {
+  generated,       ///< as generated
+  mid_dag_inputs,  ///< with_mid_dag_inputs
+  sparse_data,     ///< with_mid_dag_inputs, then with_empty_edges
+};
+
+/// One sweep of a fuzz corpus: a task of a base schedule over its targets.
+using SweepCase = std::function<void(Simulator&, const Schedule& base, dag::TaskId task,
+                                     std::span<const MoveTarget> targets)>;
+
 /// Random schedules of every workflow family on every fuzz platform; a
 /// few random tasks of each schedule swept over every target.
-Tally fuzz(bool mid_dag_inputs, std::uint64_t seed) {
-  Tally tally;
+void fuzz(Corpus corpus, std::uint64_t seed, const SweepCase& sweep) {
   Rng rng(seed);
   for (const platform::Platform& platform : fuzz_platforms()) {
     for (const pegasus::WorkflowType type : pegasus::extended_types()) {
       const std::size_t tasks = 20 + rng.below(21);
       dag::Workflow wf = pegasus::generate(type, {tasks, rng.below(1000) + 1, 0.5});
-      if (mid_dag_inputs) wf = with_mid_dag_inputs(wf, rng);
+      if (corpus != Corpus::generated) wf = with_mid_dag_inputs(wf, rng);
+      if (corpus == Corpus::sparse_data) wf = with_empty_edges(wf, rng);
       Simulator simulator(wf, platform);
       for (int s = 0; s < 3; ++s) {
         const Schedule base = random_schedule(wf, platform, rng);
         for (int k = 0; k < 8; ++k) {
           const auto task = static_cast<dag::TaskId>(rng.below(wf.task_count()));
-          check_sweep(simulator, base, task, all_targets(base, platform, task), tally);
+          sweep(simulator, base, task, all_targets(base, platform, task));
         }
       }
     }
   }
+}
+
+/// fuzz() with check_sweep.
+Tally fuzz_sweeps(Corpus corpus, std::uint64_t seed) {
+  Tally tally;
+  fuzz(corpus, seed,
+       [&tally](Simulator& simulator, const Schedule& base, dag::TaskId task,
+                std::span<const MoveTarget> targets) {
+         check_sweep(simulator, base, task, targets, tally);
+       });
   return tally;
 }
 
 TEST(MoveSweep, MatchesFullRunsOnRandomSchedules) {
-  const Tally tally = fuzz(/*mid_dag_inputs=*/false, 11);
+  const Tally tally = fuzz_sweeps(Corpus::generated, 11);
   expect_no_mismatch(tally);
 }
 
 TEST(MoveSweep, MatchesFullRunsWithExternalInputsOnNonEntryTasks) {
-  const Tally tally = fuzz(/*mid_dag_inputs=*/true, 23);
+  const Tally tally = fuzz_sweeps(Corpus::mid_dag_inputs, 23);
   expect_no_mismatch(tally);
+}
+
+/// Checks the bound of every candidate against a full run of it: the bound
+/// the move patches in equals the bound of the candidate schedule, and
+/// neither exceeds the candidate's makespan.
+void check_bounds(Simulator& simulator, const Schedule& base, dag::TaskId task,
+                  std::span<const MoveTarget> targets, Tally& tally) {
+  const dag::WeightRealization weights = dag::conservative_weights(simulator.workflow());
+  Simulator reference(simulator.workflow(), simulator.platform());
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const Schedule candidate = moved(base, task, targets[i]);
+    const std::optional<Seconds> patched =
+        simulator.makespan_lower_bound(base, weights, task, targets[i]);
+    const std::optional<Seconds> bound = reference.makespan_lower_bound(candidate, weights);
+    const SimResult full = reference.run_conservative(candidate);
+    const std::string at = "task " + std::to_string(task) + " target " + std::to_string(i);
+    tally.record(patched && bound && same(*patched, *bound), "patched bound differs at " + at);
+    tally.record(full.start_first == 0 && bound && *bound <= full.makespan,
+                 "bound " + std::to_string(bound.value_or(-1)) + " exceeds makespan " +
+                     std::to_string(full.makespan) + " at " + at);
+  }
+  tally.candidates += targets.size();
+}
+
+/// Sweeps with the thresholds Algorithm 5 and CG+ pass and one that screens
+/// more: outcomes not screened are those of the unscreened sweep, bit for
+/// bit, and screened ones exceed the threshold.
+void check_screening(Simulator& simulator, const Schedule& base, dag::TaskId task,
+                     std::span<const MoveTarget> targets, Tally& tally) {
+  constexpr Seconds inf = std::numeric_limits<Seconds>::infinity();
+  set_post_run_check(nullptr);
+  const SimResult base_result = simulator.run_conservative(base);
+  const std::vector<MoveOutcome> all = simulator.sweep_moves(base, base_result, task, targets);
+  Seconds best = base_result.makespan;
+  for (const MoveOutcome& outcome : all) best = std::min(best, outcome.makespan);
+  for (const Seconds threshold :
+       {base_result.makespan, base_result.makespan - time_epsilon, best}) {
+    const EngineCounters before = engine_counters();
+    const std::vector<MoveOutcome> outcomes =
+        simulator.sweep_moves(base, base_result, task, targets, threshold);
+    const EngineCounters after = engine_counters();
+    std::size_t screened = 0;
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      const std::string at = "task " + std::to_string(task) + " target " + std::to_string(i);
+      if (outcomes[i].makespan == inf) {
+        ++screened;
+        tally.record(outcomes[i].cost == inf && all[i].makespan > threshold,
+                     "screened a candidate not above the threshold at " + at);
+      } else {
+        tally.record(same(outcomes[i].makespan, all[i].makespan) &&
+                         same(outcomes[i].cost, all[i].cost),
+                     "screening changed an outcome at " + at);
+      }
+    }
+    tally.record(after.screened - before.screened == screened &&
+                     after.simulated - before.simulated == targets.size() - screened,
+                 "engine counters disagree with the outcomes");
+    tally.screened += screened;
+  }
+  tally.candidates += targets.size();
+}
+
+TEST(MoveSweep, LowerBoundNeverExceedsTheMakespanOnRandomSchedules) {
+  Tally tally;
+  for (const Corpus corpus : {Corpus::generated, Corpus::mid_dag_inputs, Corpus::sparse_data})
+    fuzz(corpus, 31,
+         [&tally](Simulator& simulator, const Schedule& base, dag::TaskId task,
+                  std::span<const MoveTarget> targets) {
+           check_bounds(simulator, base, task, targets, tally);
+         });
+  expect_no_mismatch(tally);
+}
+
+TEST(MoveSweep, ScreeningChangesNoOutcome) {
+  Tally tally;
+  for (const Corpus corpus : {Corpus::generated, Corpus::sparse_data})
+    fuzz(corpus, 37,
+         [&tally](Simulator& simulator, const Schedule& base, dag::TaskId task,
+                  std::span<const MoveTarget> targets) {
+           check_screening(simulator, base, task, targets, tally);
+         });
+  expect_no_mismatch(tally);
+  RecordProperty("screened", std::to_string(tally.screened));
+  EXPECT_GT(tally.screened, 0u);
+}
+
+TEST(MoveSweep, LowerBoundAllowsForEarlyFlowCompletions) {
+  // A's external input would be downloaded at 14 s, but B finishes on
+  // another VM half a nanosecond earlier.  At that event the fluid network
+  // completes the download within its tolerance, so A starts early.
+  dag::Workflow wf("early-completion");
+  const auto a = wf.add_task("A", 100, 0);
+  const auto b = wf.add_task("B", 4 - 0.5e-9, 0);
+  wf.add_external_input(a, 4e6);
+  wf.freeze();
+  const platform::Platform platform = testing::toy_platform();
+  Schedule schedule(wf.task_count());
+  schedule.assign(a, schedule.add_vm(0));
+  schedule.assign(b, schedule.add_vm(0));
+
+  Simulator simulator(wf, platform);
+  const SimResult run = simulator.run_conservative(schedule);
+  ASSERT_LT(run.tasks[a].start, 14.0);
+  const std::optional<Seconds> bound =
+      simulator.makespan_lower_bound(schedule, dag::conservative_weights(wf));
+  ASSERT_TRUE(bound.has_value());
+  EXPECT_LE(*bound, run.makespan);
+  EXPECT_NEAR(*bound, run.makespan, 1e-9);
 }
 
 TEST(MoveSweep, MatchesFullRunsInsideRefinement) {
@@ -505,14 +664,61 @@ TEST(MoveSweep, MoveBreakingSameVmOrderThrowsTheValidateError) {
     expected = error.what();
   }
   ASSERT_FALSE(expected.empty());
-  try {
-    (void)simulator.sweep_moves(base, base_result, a, targets);
-    FAIL() << "the sweep accepted a move that breaks same-VM order";
-  } catch (const ValidationError& error) {
-    EXPECT_EQ(std::string(error.what()), expected);
+  // Whatever the threshold screens, the misordered candidate is not.
+  for (const Seconds threshold : {std::numeric_limits<Seconds>::infinity(), 0.0}) {
+    try {
+      (void)simulator.sweep_moves(base, base_result, a, targets, threshold);
+      FAIL() << "the sweep accepted a move that breaks same-VM order";
+    } catch (const ValidationError& error) {
+      EXPECT_EQ(std::string(error.what()), expected);
+    }
   }
   // The failed sweep leaves the Simulator usable.
   EXPECT_EQ(simulator.run_conservative(base).makespan, base_result.makespan);
+}
+
+TEST(MoveSweep, ScreenedSweepKeepsTheDeadlockOfAMultiprocessorVm) {
+  // Y -> Z -> X, but X outranks Y: Y moved next to X on the two-processor
+  // VM 0 waits behind X in list order, X waits for Z and Z for Y.
+  dag::Workflow wf("list-order-deadlock");
+  const auto x = wf.add_task("X", 100, 0);
+  const auto y = wf.add_task("Y", 100, 0);
+  const auto z = wf.add_task("Z", 100, 0);
+  wf.add_edge(y, z, 1e6);
+  wf.add_edge(z, x, 1e6);
+  wf.freeze();
+  const platform::Platform platform = multiprocessor_platform(2);
+  Schedule base(wf.task_count());
+  base.set_priority(x, 30);
+  base.set_priority(z, 20);
+  base.set_priority(y, 10);
+  const VmId v0 = base.add_vm(0);
+  const VmId v1 = base.add_vm(0);
+  const VmId v2 = base.add_vm(0);
+  base.assign(x, v0);
+  base.assign(y, v1);
+  base.assign(z, v2);
+
+  const std::vector targets{MoveTarget::fresh(2), MoveTarget::existing(v0)};
+  std::string expected;
+  try {
+    (void)Simulator(wf, platform).run_conservative(moved(base, y, targets[1]));
+  } catch (const ValidationError& error) {
+    expected = error.what();
+  }
+  ASSERT_NE(expected.find("deadlocked"), std::string::npos) << expected;
+
+  Simulator simulator(wf, platform);
+  const SimResult base_result = simulator.run_conservative(base);
+  const dag::WeightRealization weights = dag::conservative_weights(wf);
+  EXPECT_FALSE(simulator.makespan_lower_bound(base, weights, y, targets[1]).has_value());
+  EXPECT_TRUE(simulator.makespan_lower_bound(base, weights, y, targets[0]).has_value());
+  try {
+    (void)simulator.sweep_moves(base, base_result, y, targets, /*threshold=*/0.0);
+    FAIL() << "the sweep screened a deadlocking candidate";
+  } catch (const ValidationError& error) {
+    EXPECT_EQ(std::string(error.what()), expected);
+  }
 }
 
 Simulator* sweeping = nullptr;
