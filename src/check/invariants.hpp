@@ -18,7 +18,9 @@
 ///    [boot_done, end]; a billed boot takes at least t_boot.
 ///  * makespan_identity — Eq. (3): makespan = H_end,last - H_start,first,
 ///    with the endpoints matching the billed VM records and used_vms
-///    counting exactly the billed VMs.
+///    counting exactly the billed VMs; on clean runs checked against their
+///    schedule, the makespan is at least sim::Simulator::makespan_lower_bound
+///    with the durations the run computed for.
 ///  * cost_conservation — Eq. (1): per-VM costs recomputed from the billed
 ///    intervals (rate * duration + setup, billing-quantum rounded) must
 ///    equal the accounted vm_time/vm_setup within an ulp-scaled tolerance;
@@ -80,11 +82,17 @@ class InvariantChecker {
 
   /// Additionally validates \p schedule structurally and cross-checks the
   /// result against it: task placements match and, on clean runs, each VM
-  /// starts its tasks in list order.
+  /// starts its tasks in list order and the makespan respects the
+  /// schedule's lower bound.
   [[nodiscard]] CheckReport check(const sim::Schedule& schedule, const sim::SimResult& result,
                                   const CheckOptions& options = {}) const;
 
  private:
+  /// makespan_identity against sim::Simulator::makespan_lower_bound, for a
+  /// clean \p result that placed every task where \p schedule says.
+  void check_lower_bound(const sim::Schedule& schedule, const sim::SimResult& result,
+                         const CheckOptions& options, CheckReport& report) const;
+
   const dag::Workflow& wf_;
   const platform::Platform& platform_;
 };

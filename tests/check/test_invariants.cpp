@@ -212,6 +212,21 @@ TEST_F(CorruptedResult, PlacementMismatchDetected) {
   EXPECT_TRUE(has_code(report, InvariantCode::schedule_structure)) << report.text();
 }
 
+TEST_F(CorruptedResult, MakespanBelowLowerBoundDetected) {
+  sim::SimResult bad = result_;
+  // A claims to have computed from the moment its VM was up, although its
+  // 4 MB external input takes 4 s to download: the longer computation it
+  // then reports cannot fit in the makespan.  Each record on its own stays
+  // plausible; only the schedule's longest path exposes it.
+  const dag::TaskId a = wf_.find_task("A");
+  bad.tasks[a].start = bad.vms[0].boot_done;
+  const CheckReport plain = check(bad);
+  EXPECT_TRUE(plain.ok()) << plain.text();
+  const CheckReport report = InvariantChecker(wf_, platform_).check(*schedule_, bad);
+  EXPECT_TRUE(has_code(report, InvariantCode::makespan_identity)) << report.text();
+  EXPECT_NE(report.text().find("lower bound"), std::string::npos) << report.text();
+}
+
 TEST_F(CorruptedResult, UnassignedScheduleDetected) {
   sim::Schedule incomplete(wf_.task_count());
   incomplete.add_vm(0);  // no task ever assigned
