@@ -45,8 +45,7 @@ int main() {
     table.columns({"policy", "mean makespan (s)", "p95 makespan (s)", "mean spend ($)",
                    "migrations/run"});
 
-    const auto evaluate_policy = [&](const std::string& label,
-                                     const sim::OnlinePolicy* policy) {
+    const auto evaluate_policy = [&](const std::string& label, const sim::RunOptions& options) {
       Summary makespan;
       Summary cost;
       double migrations = 0;
@@ -54,9 +53,7 @@ int main() {
       for (std::size_t rep = 0; rep < reps; ++rep) {
         Rng stream = base.fork(rep);
         const dag::WeightRealization weights = dag::sample_weights(wf, stream);
-        const sim::SimResult r = policy == nullptr
-                                     ? simulator.run(out.schedule, weights)
-                                     : simulator.run_online(out.schedule, weights, *policy);
+        const sim::SimResult r = simulator.run(out.schedule, weights, options);
         makespan.add(r.makespan);
         cost.add(r.total_cost());
         migrations += static_cast<double>(r.migrations);
@@ -67,19 +64,19 @@ int main() {
                  TablePrinter::num(migrations / static_cast<double>(reps), 2)});
     };
 
-    evaluate_policy("offline (paper)", nullptr);
+    evaluate_policy("offline (paper)", {});
     for (const double k : {1.5, 2.0, 2.5, 3.0}) {
       sim::OnlinePolicy policy;
       policy.timeout_sigmas = k;
       policy.max_restarts = 1;
-      evaluate_policy("timeout mu+" + TablePrinter::num(k, 1) + "*sigma", &policy);
+      evaluate_policy("timeout mu+" + TablePrinter::num(k, 1) + "*sigma", {.online = policy});
     }
     {
       // Budget-capped variant: migrations are vetoed once the projected
       // spend reaches 1.2x the budget.
       sim::OnlinePolicy policy;
       policy.budget_cap = 1.2 * budget;
-      evaluate_policy("timeout mu+2.0*sigma, capped", &policy);
+      evaluate_policy("timeout mu+2.0*sigma, capped", {.online = policy});
     }
     table.print(std::cout);
     std::cout << '\n';

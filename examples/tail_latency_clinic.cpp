@@ -55,7 +55,7 @@ int main(int argc, char** argv) try {
   sim::OnlinePolicy policy;
   policy.timeout_sigmas = 2.0;
   policy.budget_cap = 1.5 * budget;  // allow some headroom for the rescue VM
-  const sim::SimResult online = simulator.run_online(out.schedule, realization, policy);
+  const sim::SimResult online = simulator.run(out.schedule, realization, {.online = policy});
 
   std::cout << "offline: makespan " << offline.makespan << " s, cost $"
             << offline.total_cost() << "\n"

@@ -4,7 +4,7 @@
 /// \brief Automatic post-run invariant checking (the CLOUDWF_CHECK switch).
 ///
 /// install_auto_check() points sim::set_post_run_check at the invariant
-/// checker: every Simulator::run* validates its own result and throws
+/// checker: every Simulator::run validates its own result and throws
 /// InternalError with the full violation report when a contract is broken.
 /// auto_check_from_env() is what entry points (the CLI, tests, benches)
 /// call once at startup: it honors the CLOUDWF_CHECK environment variable

@@ -75,7 +75,6 @@ EvalResult evaluate_schedule_until(const dag::Workflow& wf,
   }
 
   sim::Simulator simulator(wf, platform);
-  const bool inject = config.faults.enabled();
   const Rng base(config.seed);
   std::size_t valid = 0;
   std::size_t in_time = 0;
@@ -97,10 +96,9 @@ EvalResult evaluate_schedule_until(const dag::Workflow& wf,
     check_deadline(deadline, algorithm, "repetition " + std::to_string(rep), config);
     Rng stream = base.fork(rep);
     const dag::WeightRealization weights = dag::sample_weights(wf, stream);
-    const sim::SimResult run =
-        inject ? simulator.run_with_faults(output.schedule, weights,
-                                           config.faults.for_repetition(rep), config.recovery)
-               : simulator.run(output.schedule, weights);
+    const sim::SimResult run = simulator.run(
+        output.schedule, weights,
+        {.faults = config.faults.for_repetition(rep), .recovery = config.recovery});
     result.makespan.add(run.makespan);
     result.cost.add(run.total_cost());
     const bool within_budget = run.total_cost() <= budget + money_epsilon;

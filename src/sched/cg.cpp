@@ -49,8 +49,8 @@ Dollars single_vm_cost(const dag::Workflow& wf, const platform::Platform& platfo
 }
 
 Dollars single_vm_cost(sim::Simulator& simulator, platform::CategoryId category) {
-  return simulator.run_conservative(single_vm_schedule(simulator.workflow(), category))
-      .total_cost();
+  const sim::Schedule schedule = single_vm_schedule(simulator.workflow(), category);
+  return simulator.run(schedule, simulator.conservative_weights()).total_cost();
 }
 
 SchedulerOutput CgScheduler::schedule(const SchedulerInput& input) const {
@@ -160,7 +160,7 @@ SchedulerOutput CgScheduler::schedule(const SchedulerInput& input) const {
   if (!refine_) return finish(input, std::move(schedule), simulator);
 
   // ---- CG+: critical-path refinement --------------------------------------
-  sim::SimResult current = simulator.run_conservative(schedule);
+  sim::SimResult current = simulator.run(schedule, simulator.conservative_weights());
   // Generous iteration cap: each applied move strictly reduces makespan, but
   // guard against floating-point ping-pong anyway.
   const std::size_t max_iterations = 3 * wf.task_count();
@@ -199,7 +199,7 @@ SchedulerOutput CgScheduler::schedule(const SchedulerInput& input) const {
 
     if (best_task == dag::invalid_task) break;  // leftover budget cannot buy time
     sim::move_task(schedule, best_task, best_target);
-    current = simulator.run_conservative(schedule);
+    current = simulator.run(schedule, simulator.conservative_weights());
   }
 
   return finish(input, std::move(schedule), simulator);

@@ -28,7 +28,7 @@ std::size_t refine_by_resimulation(const SchedulerInput& input, sim::Schedule& s
                                    sim::Simulator& simulator) {
   require(order.size() == input.wf.task_count(),
           "refine_by_resimulation: order must cover every task");
-  sim::SimResult base = simulator.run_conservative(schedule);
+  sim::SimResult base = simulator.run(schedule, simulator.conservative_weights());
   Seconds best_makespan = base.makespan;
   std::size_t applied = 0;
 
@@ -53,7 +53,7 @@ std::size_t refine_by_resimulation(const SchedulerInput& input, sim::Schedule& s
 
     sim::move_task(schedule, task, targets[selected]);
     ++applied;
-    base = simulator.run_conservative(schedule);
+    base = simulator.run(schedule, simulator.conservative_weights());
   }
   return applied;
 }

@@ -32,7 +32,7 @@ SchedulerOutput Scheduler::finish(const SchedulerInput& input, sim::Schedule sch
                                   sim::Simulator& simulator) {
   const obs::ProfileScope profile("sched.predict");
   sim::Schedule compacted = schedule.compacted();
-  const sim::SimResult prediction = simulator.run_conservative(compacted);
+  const sim::SimResult prediction = simulator.run(compacted, simulator.conservative_weights());
   SchedulerOutput out{std::move(compacted), prediction.makespan, prediction.total_cost(), false};
   out.budget_feasible = out.predicted_cost <= input.budget + money_epsilon;
   return out;

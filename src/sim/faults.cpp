@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "sim/simulator.hpp"
 
 namespace cloudwf::sim {
 
@@ -13,13 +14,21 @@ void FaultModel::validate() const {
           "FaultModel: p_transfer_fail must be in [0, 1)");
   require(lambda_crash >= 0 && std::isfinite(lambda_crash),
           "FaultModel: lambda_crash must be finite and non-negative");
-  require(acquisition_delay >= 0, "FaultModel: negative acquisition_delay");
+  require(acquisition_delay >= 0 && std::isfinite(acquisition_delay),
+          "FaultModel: acquisition_delay must be finite and non-negative");
 }
 
 void RecoveryPolicy::validate() const {
   require(max_boot_attempts >= 1, "RecoveryPolicy: max_boot_attempts must be >= 1");
-  require(transfer_backoff_base >= 0, "RecoveryPolicy: negative transfer_backoff_base");
-  require(!(budget_cap < 0), "RecoveryPolicy: negative budget_cap");
+  require(transfer_backoff_base >= 0 && std::isfinite(transfer_backoff_base),
+          "RecoveryPolicy: transfer_backoff_base must be finite and non-negative");
+  require(budget_cap >= 0, "RecoveryPolicy: budget_cap must be non-negative and not NaN");
+}
+
+void OnlinePolicy::validate() const {
+  require(timeout_sigmas >= 0, "OnlinePolicy: negative timeout_sigmas");
+  require(min_speedup >= 1.0, "OnlinePolicy: min_speedup must be >= 1");
+  require(budget_cap >= 0, "OnlinePolicy: budget_cap must be non-negative and not NaN");
 }
 
 FaultInjector::FaultInjector(const FaultModel& model)

@@ -147,11 +147,9 @@ struct EngineState {
   // ---- per-run inputs (set by init) ----------------------------------------
   const Schedule* schedule_ = nullptr;
   const dag::WeightRealization* weights_ = nullptr;
-  const OnlinePolicy* policy_ = nullptr;      // nullptr = offline (static) execution
-  const FaultModel* faults_ = nullptr;        // nullptr = no fault layer
-  const RecoveryPolicy* recovery_ = nullptr;  // set whenever faults_ is
-  bool obs_ = false;                          // cached bus_ && bus_->enabled()
-  std::optional<FaultInjector> injector_;     // engaged only for an enabled model
+  RunOptions options_;                     // a copy: the run needs no caller storage
+  bool obs_ = false;                       // cached bus_ && bus_->enabled()
+  std::optional<FaultInjector> injector_;  // engaged only for an enabled model
 
   // Mutable mapping (seeded from schedule_, extended by migrations/recovery).
   std::vector<VmId> vm_of_;
@@ -198,16 +196,14 @@ class Simulator::Engine : private EngineState {
   Engine(const dag::Workflow& wf, const platform::Platform& platform, obs::EventBus* bus)
       : EngineState(platform), wf_(wf), platform_(platform), bus_(bus) {}
 
-  /// One execution of \p schedule.  \p policy, \p faults and \p recovery
-  /// are null when their layer is off; all of them must outlive the call.
+  /// One execution of \p schedule.
   SimResult run(const Schedule& schedule, const dag::WeightRealization& weights,
-                const OnlinePolicy* policy, const FaultModel* faults,
-                const RecoveryPolicy* recovery);
+                const RunOptions& options);
 
   /// Validates \p schedule and resets the state for a run of it; no event
   /// has happened yet and no VM is booked.
   void init(const Schedule& schedule, const dag::WeightRealization& weights,
-            const OnlinePolicy* policy, const FaultModel* faults, const RecoveryPolicy* recovery);
+            const RunOptions& options);
   /// The time-zero boot pass: books every VM whose first task is ready.
   void start();
   /// Processes events until the run ends, or until the next one would
@@ -350,8 +346,7 @@ class Simulator::Engine : private EngineState {
 };
 
 void Simulator::Engine::init(const Schedule& schedule, const dag::WeightRealization& weights,
-                             const OnlinePolicy* policy, const FaultModel* faults,
-                             const RecoveryPolicy* recovery) {
+                             const RunOptions& options) {
   schedule.validate(wf_, platform_);
   require(weights.size() == wf_.task_count(),
           "Simulator: weight realization size differs from workflow");
@@ -359,12 +354,10 @@ void Simulator::Engine::init(const Schedule& schedule, const dag::WeightRealizat
   // Reset every piece of run state; the containers keep their capacity.
   schedule_ = &schedule;
   weights_ = &weights;
-  policy_ = policy;
-  faults_ = faults;
-  recovery_ = recovery;
+  options_ = options;
   obs_ = bus_ != nullptr && bus_->enabled();
-  if (faults_ != nullptr && faults_->enabled())
-    injector_.emplace(*faults_);
+  if (options_.faults.enabled())
+    injector_.emplace(options_.faults);
   else
     injector_.reset();
   fluid_.reset();
@@ -466,10 +459,10 @@ void Simulator::Engine::on_boot_done(VmId vm) {
             .vm = obs_vm(vm),
             .detail = "boot_failure",
             .value = static_cast<double>(state.boot_attempts)});
-    if (state.boot_attempts < recovery_->max_boot_attempts) {
+    if (state.boot_attempts < options_.recovery.max_boot_attempts) {
       // Re-provision: a fresh acquisition after the IaaS acquisition delay.
       ++state.boot_attempts;
-      state.boot_done = now_ + faults_->acquisition_delay + platform_.boot_delay();
+      state.boot_done = now_ + options_.faults.acquisition_delay + platform_.boot_delay();
       push_event(state.boot_done, Event::Kind::boot_done, vm, dag::invalid_task);
     } else {
       abandon_boot(vm);
@@ -576,9 +569,9 @@ void Simulator::Engine::on_flow_complete(FlowId flow) {
             .task = obs_task(job.task),
             .detail = "transfer_failure",
             .value = static_cast<double>(stored.attempts)});
-    if (stored.attempts <= recovery_->max_transfer_retries) {
+    if (stored.attempts <= options_.recovery.max_transfer_retries) {
       // Exponential backoff: retry n waits base * 2^(n-1) seconds.
-      const Seconds backoff = recovery_->transfer_backoff_base *
+      const Seconds backoff = options_.recovery.transfer_backoff_base *
                               std::ldexp(1.0, static_cast<int>(stored.attempts) - 1);
       ++pending_retries_;
       push_event(now_ + backoff, Event::Kind::transfer_retry, job.vm, job.task, 0, job_index);
@@ -751,11 +744,11 @@ void Simulator::Engine::try_start_tasks(VmId vm) {
     // Online policy: arm a timeout when the actual draw exceeds the
     // tolerated compute time on this host (the engine exploits its knowledge
     // of the realization only to skip timeouts that would never fire).
-    if (policy_ != nullptr) {
+    if (const std::optional<OnlinePolicy>& policy = options_.online) {
       const Seconds tolerated = (wf_.task(t).mean_weight +
-                                 policy_->timeout_sigmas * wf_.task(t).weight_stddev) /
+                                 policy->timeout_sigmas * wf_.task(t).weight_stddev) /
                                 vm_speed(vm);
-      if (duration > tolerated && records_[t].restarts < policy_->max_restarts)
+      if (duration > tolerated && records_[t].restarts < policy->max_restarts)
         push_event(now_ + tolerated, Event::Kind::timeout, vm, t, ts.epoch);
     }
 
@@ -825,12 +818,13 @@ Dollars Simulator::Engine::committed_vm_cost() const {
 void Simulator::Engine::on_timeout(VmId vm, dag::TaskId task) {
   const TaskState& ts = tasks_[task];
   if (ts.finished || !ts.started || vm_of_[task] != vm) return;  // raced with completion
-  CLOUDWF_ASSERT(policy_ != nullptr);
+  CLOUDWF_ASSERT(options_.online.has_value());
+  const OnlinePolicy& policy = *options_.online;
 
   // Policy checks: a meaningfully faster category must exist...
   const platform::CategoryId fastest = platform_.fastest_category();
   const platform::VmCategory& target = platform_.category(fastest);
-  if (target.speed < policy_->min_speedup * vm_speed(vm)) return;
+  if (target.speed < policy.min_speedup * vm_speed(vm)) return;
   // ... and the projected spend must stay *strictly below* the cap (the
   // projection is an estimate; consuming the cap exactly leaves no headroom).
   // Projection: spend so far + conservative compute of the restarted task +
@@ -840,7 +834,7 @@ void Simulator::Engine::on_timeout(VmId vm, dag::TaskId task) {
   const Seconds projected_time = wf_.task(task).conservative_weight() / target.speed +
                                  restage / platform_.bandwidth();
   if (committed_vm_cost() + target.setup_cost + projected_time * target.price_per_second >=
-      policy_->budget_cap)
+      policy.budget_cap)
     return;
 
   migrate(vm, task);
@@ -963,7 +957,7 @@ void Simulator::Engine::recover_tasks(VmId from, bool allow_provisioning) {
     stats_.wasted_compute += now_ - records_[t].start;
     ++records_[t].restarts;
     ++stats_.task_reexecutions;
-    if (records_[t].restarts > recovery_->max_task_retries) fail_task(t);
+    if (records_[t].restarts > options_.recovery.max_task_retries) fail_task(t);
   }
 
   // 2. Everything not finished (and not failed) must find a new home.
@@ -984,7 +978,7 @@ void Simulator::Engine::recover_tasks(VmId from, bool allow_provisioning) {
     for (dag::TaskId t : pending) remaining += wf_.task(t).conservative_weight();
     const Dollars projected = committed_vm_cost() + category.setup_cost +
                               (remaining / category.speed) * category.price_per_second;
-    if (projected < recovery_->budget_cap)
+    if (projected < options_.recovery.budget_cap)
       fresh = true;
     else
       stats_.degraded = true;
@@ -1590,9 +1584,8 @@ std::optional<Seconds> Simulator::Bound::longest_path(const dag::WeightRealizati
 }
 
 SimResult Simulator::Engine::run(const Schedule& schedule, const dag::WeightRealization& weights,
-                                 const OnlinePolicy* policy, const FaultModel* faults,
-                                 const RecoveryPolicy* recovery) {
-  init(schedule, weights, policy, faults, recovery);
+                                 const RunOptions& options) {
+  init(schedule, weights, options);
   start();
   main_loop();
   SimResult result = finalize();
@@ -1628,42 +1621,23 @@ Simulator::Simulator(const dag::Workflow& wf, const platform::Platform& platform
 
 Simulator::~Simulator() = default;
 
-SimResult Simulator::checked_run(const Schedule& schedule, const dag::WeightRealization& weights,
-                                 const OnlinePolicy* policy, const FaultModel* faults,
-                                 const RecoveryPolicy* recovery) {
+SimResult Simulator::run(const Schedule& schedule, const dag::WeightRealization& weights,
+                         const RunOptions& options) {
   require(!sweeping_, "Simulator: run during a move sweep of the same Simulator");
+  if (options.online) options.online->validate();
+  options.faults.validate();
+  options.recovery.validate();
+  require(!options.online || !options.faults.enabled(),
+          "Simulator::run: online re-scheduling cannot be combined with fault injection");
   ++counters.runs;
-  SimResult result = engine_->run(schedule, weights, policy, faults, recovery);
+  SimResult result = engine_->run(schedule, weights, options);
   if (const PostRunCheck hook = post_run_check()) hook(wf_, platform_, schedule, result);
   return result;
 }
 
-SimResult Simulator::run(const Schedule& schedule, const dag::WeightRealization& weights) {
-  return checked_run(schedule, weights, nullptr, nullptr, nullptr);
-}
-
-SimResult Simulator::run_online(const Schedule& schedule, const dag::WeightRealization& weights,
-                                const OnlinePolicy& policy) {
-  require(policy.timeout_sigmas >= 0, "run_online: negative timeout_sigmas");
-  require(policy.min_speedup >= 1.0, "run_online: min_speedup must be >= 1");
-  return checked_run(schedule, weights, &policy, nullptr, nullptr);
-}
-
-SimResult Simulator::run_with_faults(const Schedule& schedule,
-                                     const dag::WeightRealization& weights,
-                                     const FaultModel& faults, const RecoveryPolicy& recovery) {
-  faults.validate();
-  recovery.validate();
-  return checked_run(schedule, weights, nullptr, &faults, &recovery);
-}
-
-SimResult Simulator::run_conservative(const Schedule& schedule) {
+const dag::WeightRealization& Simulator::conservative_weights() {
   if (!conservative_) conservative_ = dag::conservative_weights(wf_);
-  return run(schedule, *conservative_);
-}
-
-SimResult Simulator::run_mean(const Schedule& schedule) {
-  return run(schedule, dag::mean_weights(wf_));
+  return *conservative_;
 }
 
 void move_task(Schedule& schedule, dag::TaskId task, const MoveTarget& target) {
@@ -1714,7 +1688,7 @@ std::vector<MoveOutcome> Simulator::sweep_moves(const Schedule& base, const SimR
   require(base_result.tasks.size() == wf_.task_count() &&
               base_result.vms.size() == base.vm_count() && base_result.success(),
           "Simulator::sweep_moves: base_result is not a fault-free run of base");
-  if (!conservative_) conservative_ = dag::conservative_weights(wf_);
+  const dag::WeightRealization& weights = conservative_weights();
   if (!probe_) probe_ = std::make_unique<Engine>(wf_, platform_, nullptr);
 
   // Divergence time of each candidate (DESIGN.md Section 12): before it,
@@ -1772,7 +1746,7 @@ std::vector<MoveOutcome> Simulator::sweep_moves(const Schedule& base, const SimR
     bool& flag;
     ~EndSweep() { flag = false; }
   } end_sweep{sweeping_};
-  engine_->init(base, *conservative_, nullptr, nullptr, nullptr);
+  engine_->init(base, weights, {});
   bool started = false;  // T = 0 resumes before the time-zero boot pass
   for (const SweepStep& step : steps_) {
     const MoveTarget& target = targets[step.target];
@@ -1784,7 +1758,7 @@ std::vector<MoveOutcome> Simulator::sweep_moves(const Schedule& base, const SimR
                                     ? base.vm_tasks(target.vm)[step.insert_at - 1]
                                     : dag::invalid_task;
       const std::optional<Seconds> path =
-          bound->longest_path(*conservative_, task, target.vm, target.category, after);
+          bound->longest_path(weights, task, target.vm, target.category, after);
       lower = path.value_or(-infinity);
     }
     const bool screened = lower > threshold * (1 + bound_margin);

@@ -24,7 +24,7 @@
 ///    that capacity max-min fairly (the contention mode).
 ///
 /// The same engine doubles as the deterministic predictor of Algorithm 5:
-/// run it with dag::conservative_weights(wf).
+/// run it with Simulator::conservative_weights().
 
 #include <limits>
 #include <memory>
@@ -64,6 +64,24 @@ struct OnlinePolicy {
   std::size_t max_restarts = 1;   ///< per-task restart bound
   double min_speedup = 1.2;       ///< required speed ratio fastest/current
   Dollars budget_cap = std::numeric_limits<Dollars>::infinity();  ///< spend guard
+
+  /// Throws InvalidArgument on a negative or NaN knob or a min_speedup
+  /// below 1; an infinite budget_cap means no cap.
+  void validate() const;
+};
+
+/// The layers a Simulator::run adds to the static execution of the paper.
+/// The default runs the schedule as it is: no re-scheduling, no faults.
+/// Callers name only the fields they set (`{.online = policy}`); the `{}`
+/// initializers keep -Wmissing-field-initializers quiet about the others.
+struct RunOptions {
+  /// Online re-scheduling; std::nullopt keeps the schedule static.
+  std::optional<OnlinePolicy> online{};
+  /// Fault injection; a disabled model (all rates zero) injects nothing and
+  /// leaves the run bit-identical to a run without it.
+  FaultModel faults{};
+  /// Recovery from injected faults; consulted only when faults is enabled.
+  RecoveryPolicy recovery{};
 };
 
 /// One destination of a task move in Simulator::sweep_moves: an existing VM
@@ -92,7 +110,7 @@ struct MoveOutcome {
 /// Thread-local and monotone, like sched::probe_count(): read the deltas
 /// around a call (bench/bench_sched.cpp does).
 struct EngineCounters {
-  std::size_t runs = 0;       ///< Simulator::run* calls
+  std::size_t runs = 0;       ///< Simulator::run calls
   std::size_t events = 0;     ///< events processed, by runs and sweeps alike
   std::size_t simulated = 0;  ///< sweep candidates resumed and run to the end
   std::size_t screened = 0;   ///< sweep candidates whose bound exceeded the threshold
@@ -103,13 +121,13 @@ struct EngineCounters {
 ///
 /// A Simulator owns the execution state of its runs: the mutable VM plans,
 /// per-VM and per-task state, the event heap, the transfer jobs and link
-/// queues, the fluid network and the conservative weights.  Each run* call
+/// queues, the fluid network and the conservative weights.  Each run call
 /// resets that state in place instead of rebuilding it, so a refinement
 /// sweep that re-simulates one schedule per candidate allocates only what
 /// it returns once the first run has sized the buffers.  The state lives as
 /// long as the Simulator and is freed with it; results never alias it.
 ///
-/// One Simulator serves one thread: the run* methods mutate the owned
+/// One Simulator serves one thread: run and sweep_moves mutate the owned
 /// state, so concurrent runs need one Simulator each (they are cheap to
 /// construct and may share the workflow and platform).  Nothing may run a
 /// Simulator while its own sweep_moves is in progress.
@@ -124,37 +142,25 @@ class Simulator {
             obs::EventBus* bus = nullptr);
   ~Simulator();
 
-  /// Runs \p schedule with concrete \p weights.
-  /// Throws ValidationError if the schedule is malformed or deadlocks.
-  [[nodiscard]] SimResult run(const Schedule& schedule, const dag::WeightRealization& weights);
-
-  /// Runs \p schedule with the online re-scheduling \p policy active.
-  [[nodiscard]] SimResult run_online(const Schedule& schedule,
-                                     const dag::WeightRealization& weights,
-                                     const OnlinePolicy& policy);
-
-  /// Runs \p schedule while injecting faults from \p faults and recovering
-  /// per \p recovery (see faults.hpp).  With a disabled model (all rates
-  /// zero) this is bit-identical to run().  Never throws on injected
+  /// Runs \p schedule with concrete \p weights and the layers of \p options.
+  /// Throws InvalidArgument when an option is out of range or when online
+  /// re-scheduling is combined with enabled faults, and ValidationError if
+  /// the schedule is malformed or deadlocks.  Never throws on injected
   /// failures: exhausted recovery marks tasks failed in the result instead.
-  [[nodiscard]] SimResult run_with_faults(const Schedule& schedule,
-                                          const dag::WeightRealization& weights,
-                                          const FaultModel& faults,
-                                          const RecoveryPolicy& recovery = {});
+  /// Algorithm 5's deterministic predictor is run(schedule,
+  /// conservative_weights()).
+  [[nodiscard]] SimResult run(const Schedule& schedule, const dag::WeightRealization& weights,
+                              const RunOptions& options = {});
 
-  /// Convenience: run with conservative (mu + sigma) weights — the
-  /// deterministic predictor used by HEFTBUDG+/CG+ (Algorithm 5).  The
-  /// weights are built on the first call and kept for the next ones.
-  [[nodiscard]] SimResult run_conservative(const Schedule& schedule);
-
-  /// Convenience: run with mean weights.
-  [[nodiscard]] SimResult run_mean(const Schedule& schedule);
+  /// The conservative (mu + sigma) weights of the workflow, built on the
+  /// first call and kept for the next ones.
+  [[nodiscard]] const dag::WeightRealization& conservative_weights();
 
   /// Conservative move sweep (the inner loop of Algorithm 5 and CG+).  For
   /// each of \p targets, returns the makespan and total cost that
-  /// run_conservative reports for \p base with \p task moved there —
-  /// Schedule::move, after Schedule::add_vm for a fresh target — bit for
-  /// bit.  \p base_result must be run_conservative(base).
+  /// run(·, conservative_weights()) reports for \p base with \p task moved
+  /// there — Schedule::move, after Schedule::add_vm for a fresh target — bit
+  /// for bit.  \p base_result must be run(base, conservative_weights()).
   ///
   /// The base schedule runs once.  Before the first event at a candidate's
   /// divergence time (the earliest moment the move can change anything;
@@ -201,11 +207,6 @@ class Simulator {
   /// The bound's buffers, loaded with \p schedule's VM lists.
   Bound& load_bound(const Schedule& schedule);
 
-  [[nodiscard]] SimResult checked_run(const Schedule& schedule,
-                                      const dag::WeightRealization& weights,
-                                      const OnlinePolicy* policy, const FaultModel* faults,
-                                      const RecoveryPolicy* recovery);
-
   /// One candidate of a sweep, in divergence-time order.
   struct SweepStep {
     Seconds divergence = 0;
@@ -228,7 +229,7 @@ class Simulator {
 [[nodiscard]] std::vector<dag::TaskId> schedule_critical_path(const SimResult& result);
 
 /// \name Post-run invariant hook
-/// A process-wide hook invoked after every Simulator::run* with the executed
+/// A process-wide hook invoked after every Simulator::run with the executed
 /// schedule and its result.  check::install_auto_check() points it at the
 /// invariant checker (the CLOUDWF_CHECK=1 path); sim itself never depends on
 /// the checker.  The hook may throw (e.g. InternalError on a violation) —

@@ -48,7 +48,8 @@ void golden_family(pegasus::WorkflowType type) {
     CheckOptions options;
     if (sched::is_budget_aware(algorithm) && out.budget_feasible)
       options.budget = levels.medium;
-    const sim::SimResult conservative = simulator.run_conservative(out.schedule);
+    const sim::SimResult conservative =
+        simulator.run(out.schedule, simulator.conservative_weights());
     const CheckReport deterministic = checker.check(out.schedule, conservative, options);
     EXPECT_TRUE(deterministic.ok())
         << algorithm << " on " << wf.name() << ":\n" << deterministic.text();
@@ -87,7 +88,7 @@ class CorruptedResult : public ::testing::Test {
     schedule_->assign(wf_.find_task("D"), vm0);
     schedule_->assign(wf_.find_task("C"), vm1);
     sim::Simulator simulator(wf_, platform_);
-    result_ = simulator.run_mean(*schedule_);
+    result_ = simulator.run(*schedule_, dag::mean_weights(wf_));
     const InvariantChecker checker(wf_, platform_);
     ASSERT_TRUE(checker.check(*schedule_, result_).ok())
         << checker.check(*schedule_, result_).text();
@@ -257,7 +258,7 @@ TEST_F(CorruptedResult, LiveEventStreamSatisfiesContract) {
   obs::EventBus bus;
   bus.add_sink(&recorder);
   sim::Simulator traced(wf_, platform_, &bus);
-  (void)traced.run_mean(*schedule_);
+  (void)traced.run(*schedule_, dag::mean_weights(wf_));
   ASSERT_FALSE(recorder.events.empty());
   const CheckReport report = check_events(recorder.events);
   EXPECT_TRUE(report.ok()) << report.text();
@@ -377,7 +378,7 @@ TEST(AutoCheck, HookValidatesEveryRun) {
   // A healthy engine passes its own audit; the hook throwing here would be
   // an engine bug, which is exactly the point of CLOUDWF_CHECK=1.
   sim::Simulator simulator(wf, cloud);
-  EXPECT_NO_THROW((void)simulator.run_mean(schedule));
+  EXPECT_NO_THROW((void)simulator.run(schedule, dag::mean_weights(wf)));
   uninstall_auto_check();
   EXPECT_FALSE(auto_check_installed());
 }

@@ -13,9 +13,9 @@
 /// Counts (gcc 12, libstdc++, Release; bounds in parentheses).  The first
 /// column predates messages built only on failure, the second predates the
 /// Simulator-owned execution state, the third is the current code:
-///   run_conservative, 90-task CyberShake heft-budg:  3,772 ->    427 ->  3 (8)
+///   conservative run, 90-task CyberShake heft-budg:  3,772 ->    427 ->  3 (8)
 ///   run, 1000-task CyberShake, sampled weights:          - ->  4,397 ->  3 (8)
-///   run_with_faults, 300-task Montage, contention 4:     - ->  2,405 -> 20 (40)
+///   run with faults, 300-task Montage, contention 4:     - ->  2,405 -> 20 (40)
 ///   dag::from_json, 1000-task CyberShake:          649,701 -> 13,715 (25,000)
 ///   dag::from_dax, the same instance:              426,885 -> 47,079 (51,500)
 /// Three allocations are left per simulation: the two vectors of the
@@ -26,7 +26,7 @@
 /// A move sweep (Simulator::sweep_moves) judges a refinement candidate
 /// without a run of its own.  Sweeping every task of the 90-task heft-budg
 /// schedule over its 3,330 refinement targets (bound in parentheses):
-///   one run_conservative per candidate, before sweeps:  10,260 (3.08 per candidate)
+///   one conservative run per candidate, before sweeps:  10,260 (3.08 per candidate)
 ///   sweep_moves per task:                                   180 (0.054 per candidate) (333)
 /// Two allocations are left per sweep: the returned outcomes and the
 /// position table of the base schedule's validation.  The same sweep with
@@ -69,11 +69,13 @@ TEST(AllocBudget, ConservativeRunOf90TaskCyberShake) {
   const sched::SchedulerOutput out =
       sched::make_scheduler("heft-budg")->schedule({wf, platform, budget});
   sim::Simulator simulator(wf, platform);
-  const Seconds warm = simulator.run_conservative(out.schedule).makespan;
+  const Seconds warm = simulator.run(out.schedule, simulator.conservative_weights()).makespan;
 
   Seconds makespan = 0;
   const std::size_t count =
-      allocations_of([&] { makespan = simulator.run_conservative(out.schedule).makespan; });
+      allocations_of([&] {
+        makespan = simulator.run(out.schedule, simulator.conservative_weights()).makespan;
+      });
   RecordProperty("allocations", std::to_string(count));
   EXPECT_EQ(makespan, warm);
   EXPECT_GT(count, 0u) << "the allocation counter is not wired";
@@ -123,12 +125,14 @@ TEST(AllocBudget, FaultRunOf300TaskMontageUnderContention) {
   const dag::WeightRealization warm_weights = dag::sample_weights(wf, first);
   const dag::WeightRealization weights = dag::sample_weights(wf, second);
   sim::Simulator simulator(wf, platform);
-  (void)simulator.run_with_faults(out.schedule, warm_weights, faults.for_repetition(0), recovery);
+  (void)simulator.run(out.schedule, warm_weights,
+                      {.faults = faults.for_repetition(0), .recovery = recovery});
 
   const sim::FaultModel counted = faults.for_repetition(1);
   sim::SimResult result;
-  const std::size_t count = allocations_of(
-      [&] { result = simulator.run_with_faults(out.schedule, weights, counted, recovery); });
+  const std::size_t count = allocations_of([&] {
+    result = simulator.run(out.schedule, weights, {.faults = counted, .recovery = recovery});
+  });
   RecordProperty("allocations", std::to_string(count));
   EXPECT_GT(result.faults.crashes, 0u) << "the counted run must exercise crash recovery";
   EXPECT_GT(count, 0u) << "the allocation counter is not wired";
@@ -157,7 +161,7 @@ void sweep_every_task(double threshold_factor) {
     candidates += targets[t].size();
   }
   sim::Simulator simulator(wf, platform);
-  const sim::SimResult base_result = simulator.run_conservative(base);
+  const sim::SimResult base_result = simulator.run(base, simulator.conservative_weights());
   const Seconds threshold = base_result.makespan * threshold_factor;
   const auto sweep_all = [&] {
     Seconds best = base_result.makespan;

@@ -123,7 +123,7 @@ TEST_P(FuzzTest, RandomScheduleInvariantsHoldOnline) {
   sim::OnlinePolicy policy;
   policy.timeout_sigmas = 1.5;  // aggressive: force plenty of migrations
   policy.max_restarts = 2;
-  const sim::SimResult online = simulator.run_online(schedule, weights, policy);
+  const sim::SimResult online = simulator.run(schedule, weights, {.online = policy});
   check_invariants(wf, platform, online);
   for (const sim::TaskRecord& task : online.tasks) EXPECT_LE(task.restarts, 2u);
 }
@@ -210,20 +210,26 @@ TEST_P(FuzzTest, FaultInjectionInvariantsHold) {
   sim::RecoveryPolicy recovery;
   if (rng.below(2) == 0) recovery.budget_cap = rng.uniform(0.5, 20.0);
 
-  const sim::SimResult r = simulator.run_with_faults(schedule, weights, model, recovery);
+  const sim::SimResult r =
+      simulator.run(schedule, weights, {.faults = model, .recovery = recovery});
   check_fault_invariants(wf, platform, recovery, r);
 
   // Determinism: an identical rerun is bit-identical.
-  const sim::SimResult again = simulator.run_with_faults(schedule, weights, model, recovery);
+  const sim::SimResult again =
+      simulator.run(schedule, weights, {.faults = model, .recovery = recovery});
   EXPECT_DOUBLE_EQ(r.makespan, again.makespan);
   EXPECT_DOUBLE_EQ(r.total_cost(), again.total_cost());
   EXPECT_EQ(r.faults.crashes, again.faults.crashes);
   EXPECT_EQ(r.faults.failed_tasks, again.faults.failed_tasks);
   EXPECT_DOUBLE_EQ(r.faults.wasted_compute, again.faults.wasted_compute);
 
-  // A disabled model routed through run_with_faults matches the plain run.
+  // The same model with every rate zeroed (seed, delay and recovery kept)
+  // is no fault layer: it matches the plain run.
+  sim::FaultModel disabled = model;
+  disabled.p_boot_fail = disabled.lambda_crash = disabled.p_transfer_fail = 0;
   const sim::SimResult plain = simulator.run(schedule, weights);
-  const sim::SimResult zero = simulator.run_with_faults(schedule, weights, sim::FaultModel{});
+  const sim::SimResult zero =
+      simulator.run(schedule, weights, {.faults = disabled, .recovery = recovery});
   EXPECT_DOUBLE_EQ(plain.makespan, zero.makespan);
   EXPECT_DOUBLE_EQ(plain.total_cost(), zero.total_cost());
 }

@@ -80,7 +80,7 @@ std::vector<Event> record_diamond_run() {
   sink.clear();
   bus.add_sink(&sink);
   sim::Simulator simulator(wf, platform, &bus);
-  const sim::SimResult result = simulator.run_mean(schedule);
+  const sim::SimResult result = simulator.run(schedule, dag::mean_weights(wf));
   EXPECT_GT(result.events_processed, 0u);
   EXPECT_EQ(bus.emitted(), sink.events().size());
   return sink.events();

@@ -50,7 +50,8 @@ TEST_P(AlgorithmTest, PredictionMatchesConservativeSimulation) {
   const auto wf = make_workflow(type());
   const auto platform = platform::paper_platform();
   const SchedulerOutput out = make_scheduler(algorithm())->schedule({wf, platform, 5.0});
-  const sim::SimResult check = sim::Simulator(wf, platform).run_conservative(out.schedule);
+  const sim::SimResult check =
+      sim::Simulator(wf, platform).run(out.schedule, dag::conservative_weights(wf));
   EXPECT_NEAR(out.predicted_makespan, check.makespan, 1e-6);
   EXPECT_NEAR(out.predicted_cost, check.total_cost(), 1e-9);
 }
@@ -81,7 +82,8 @@ TEST_P(AlgorithmTest, ExecutionRespectsDependencies) {
   const auto wf = make_workflow(type());
   const auto platform = platform::paper_platform();
   const SchedulerOutput out = make_scheduler(algorithm())->schedule({wf, platform, 5.0});
-  const sim::SimResult run = sim::Simulator(wf, platform).run_conservative(out.schedule);
+  const sim::SimResult run =
+      sim::Simulator(wf, platform).run(out.schedule, dag::conservative_weights(wf));
   for (const dag::Edge& e : wf.edges())
     EXPECT_LE(run.tasks[e.src].finish, run.tasks[e.dst].start + 1e-9)
         << wf.task(e.src).name << " -> " << wf.task(e.dst).name;

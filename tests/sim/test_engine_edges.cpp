@@ -25,7 +25,7 @@ TEST(EngineEdges, ZeroByteCrossVmEdgeIsInstantaneous) {
   Schedule s(2);
   s.assign(a, s.add_vm(0));
   s.assign(b, s.add_vm(0));
-  const SimResult r = Simulator(wf, platform).run_mean(s);
+  const SimResult r = Simulator(wf, platform).run(s, dag::mean_weights(wf));
   // A: 10..110; zero-byte upload is immediate, so B's VM boots at 110 and
   // B runs 120..220 with no transfer time at all.
   EXPECT_DOUBLE_EQ(r.tasks[b].start, 120.0);
@@ -39,7 +39,7 @@ TEST(EngineEdges, SingleTaskWorkflow) {
   const auto platform = testing::toy_platform();
   Schedule s(1);
   s.assign(0, s.add_vm(1));  // fast VM
-  const SimResult r = Simulator(wf, platform).run_mean(s);
+  const SimResult r = Simulator(wf, platform).run(s, dag::mean_weights(wf));
   EXPECT_DOUBLE_EQ(r.makespan, 10.0 + 25.0);
   EXPECT_EQ(r.used_vms, 1u);
   EXPECT_EQ(r.transfers.count, 0u);
@@ -64,7 +64,7 @@ TEST(EngineEdges, WideFanOutAndFanInAcrossManyVms) {
   s.assign(source, s.add_vm(0));
   for (const auto t : middle) s.assign(t, s.add_vm(0));
   s.assign(sink, s.add_vm(0));
-  const SimResult r = Simulator(wf, platform).run_mean(s);
+  const SimResult r = Simulator(wf, platform).run(s, dag::mean_weights(wf));
 
   // Source uploads its 16 outputs back-to-back on one serialized uplink:
   // uploads finish at 111..126; the last middle VM boots at 126.
@@ -85,7 +85,7 @@ TEST(EngineEdges, SelfContainedChainNeverTouchesTheNetwork) {
   Schedule s(3);
   const VmId vm = s.add_vm(1);
   for (dag::TaskId t : wf.topological_order()) s.assign(t, vm);
-  const SimResult r = Simulator(wf, platform).run_mean(s);
+  const SimResult r = Simulator(wf, platform).run(s, dag::mean_weights(wf));
   EXPECT_EQ(r.transfers.count, 0u);
   EXPECT_DOUBLE_EQ(r.cost.dc_transfer, 0.0);
 }
@@ -100,7 +100,7 @@ TEST(EngineEdges, FourHundredTaskInstanceRunsQuickly) {
   for (dag::TaskId t = 0; t < wf.task_count(); ++t) s.set_priority(t, ranks[t]);
   for (int i = 0; i < 16; ++i) s.add_vm(static_cast<platform::CategoryId>(i % 3));
   for (dag::TaskId t = 0; t < wf.task_count(); ++t) s.assign(t, t % 16);
-  const SimResult r = Simulator(wf, platform).run_mean(s);
+  const SimResult r = Simulator(wf, platform).run(s, dag::mean_weights(wf));
   EXPECT_EQ(r.tasks.size(), 400u);
   EXPECT_GT(r.makespan, 0.0);
   for (const dag::Edge& e : wf.edges())

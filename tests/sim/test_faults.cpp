@@ -1,6 +1,6 @@
 /// \file test_faults.cpp
 /// \brief Tests of fault injection and budget-aware recovery (sim/faults +
-/// Simulator::run_with_faults).
+/// Simulator::run with RunOptions::faults).
 ///
 /// All injected draws are deterministic: the engine's FaultInjector consumes
 /// the same seeded streams a test-local "oracle" injector does, so crash
@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "dag/stochastic.hpp"
@@ -55,20 +56,31 @@ TEST(FaultModel, ValidationRejectsOutOfRangeKnobs) {
   model = {};
   model.lambda_crash = -1.0;
   EXPECT_THROW(model.validate(), InvalidArgument);
-  model = {};
-  model.acquisition_delay = -1.0;
-  EXPECT_THROW(model.validate(), InvalidArgument);
+  for (const double delay : {-1.0, std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    model = {};
+    model.acquisition_delay = delay;
+    EXPECT_THROW(model.validate(), InvalidArgument) << delay;
+  }
 
   RecoveryPolicy recovery;
   recovery.validate();
   recovery.max_boot_attempts = 0;
   EXPECT_THROW(recovery.validate(), InvalidArgument);
+  for (const double backoff : {-1.0, std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()}) {
+    recovery = {};
+    recovery.transfer_backoff_base = backoff;
+    EXPECT_THROW(recovery.validate(), InvalidArgument) << backoff;
+  }
+  for (const double cap : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    recovery = {};
+    recovery.budget_cap = cap;
+    EXPECT_THROW(recovery.validate(), InvalidArgument) << cap;
+  }
   recovery = {};
-  recovery.transfer_backoff_base = -1.0;
-  EXPECT_THROW(recovery.validate(), InvalidArgument);
-  recovery = {};
-  recovery.budget_cap = -1.0;
-  EXPECT_THROW(recovery.validate(), InvalidArgument);
+  recovery.budget_cap = std::numeric_limits<double>::infinity();  // no cap
+  recovery.validate();
 }
 
 TEST(FaultModel, EnabledOnlyWhenSomeRateIsPositive) {
@@ -123,9 +135,17 @@ TEST(Faults, DisabledModelMatchesPlainRunBitForBit) {
   Rng rng(11);
   const dag::WeightRealization weights = dag::sample_weights(wf, rng);
 
+  // A disabled model injects nothing, whatever its seed, delay and
+  // recovery policy say.
+  FaultModel disabled;
+  disabled.seed = 99;
+  disabled.acquisition_delay = 300.0;
+  RecoveryPolicy strict;
+  strict.max_boot_attempts = 1;
+  strict.budget_cap = 0;
   Simulator sim(wf, platform);
   const SimResult plain = sim.run(out.schedule, weights);
-  const SimResult faulty = sim.run_with_faults(out.schedule, weights, FaultModel{});
+  const SimResult faulty = sim.run(out.schedule, weights, {.faults = disabled, .recovery = strict});
 
   EXPECT_DOUBLE_EQ(plain.makespan, faulty.makespan);
   EXPECT_DOUBLE_EQ(plain.total_cost(), faulty.total_cost());
@@ -156,7 +176,7 @@ TEST(Faults, BootFailureRetriesAfterAcquisitionDelay) {
   }
 
   const SimResult r =
-      Simulator(wf, platform).run_with_faults(schedule, dag::WeightRealization({100.0}), model);
+      Simulator(wf, platform).run(schedule, dag::WeightRealization({100.0}), {.faults = model});
 
   // Boot requested at 0, comes up (failed) at 10, retries at 10 + 60 + 10 =
   // 80; the task then runs 80..180.
@@ -181,8 +201,8 @@ TEST(Faults, BootAttemptsExhaustedFailsTheWholePlacement) {
   recovery.max_boot_attempts = 2;
 
   const SimResult r = Simulator(wf, platform)
-                          .run_with_faults(schedule, dag::WeightRealization({100, 200, 400}),
-                                           model, recovery);
+                          .run(schedule, dag::WeightRealization({100, 200, 400}),
+                               {.faults = model, .recovery = recovery});
 
   EXPECT_EQ(r.faults.boot_failures, 2u);
   EXPECT_EQ(r.vms[0].boot_attempts, 2u);
@@ -211,8 +231,8 @@ TEST(Faults, TransferFailuresRetryWithExponentialBackoff) {
   }
 
   const SimResult r = Simulator(wf, platform)
-                          .run_with_faults(schedule,
-                                           dag::WeightRealization({100, 200, 300, 100}), model);
+                          .run(schedule, dag::WeightRealization({100, 200, 300, 100}),
+                               {.faults = model});
 
   // Input: [10,14] fails, backoff 1 s, [15,19] delivers.  Compute chain
   // A 19..119, B 119..319, C 319..619, D 619..719.  Output: [719,721] fails,
@@ -237,9 +257,8 @@ TEST(Faults, TransferRetriesExhaustedFailDownstreamTasks) {
   recovery.max_transfer_retries = 2;
 
   const SimResult r = Simulator(wf, platform)
-                          .run_with_faults(schedule,
-                                           dag::WeightRealization({100, 200, 300, 100}), model,
-                                           recovery);
+                          .run(schedule, dag::WeightRealization({100, 200, 300, 100}),
+                               {.faults = model, .recovery = recovery});
 
   // The external input of A is attempted 1 + 2 times, aborts, and the
   // failure cascades through the whole diamond.
@@ -265,7 +284,7 @@ TEST(Faults, CrashProvisionsReplacementVmExactTimeline) {
   ASSERT_GT(c2, 900.0);
 
   const SimResult r =
-      Simulator(wf, platform).run_with_faults(schedule, dag::WeightRealization({900.0}), model);
+      Simulator(wf, platform).run(schedule, dag::WeightRealization({900.0}), {.faults = model});
 
   const Seconds crash_time = 10.0 + c1;        // boot 10, crash c1 later
   const Seconds restart = crash_time + 10.0;   // replacement boots immediately
@@ -308,8 +327,8 @@ TEST(Faults, CrashRetriesExhaustedFailTheTask) {
   recovery.max_task_retries = 1;
 
   const SimResult r = Simulator(wf, platform)
-                          .run_with_faults(schedule, dag::WeightRealization({1000.0}), model,
-                                           recovery);
+                          .run(schedule, dag::WeightRealization({1000.0}),
+                               {.faults = model, .recovery = recovery});
 
   EXPECT_EQ(r.faults.crashes, 2u);
   EXPECT_EQ(r.faults.task_reexecutions, 2u);
@@ -351,7 +370,8 @@ TEST(Faults, BudgetCapDegradesOntoSurvivingVm) {
   recovery.budget_cap = 0.6;  // below the already-committed spend: always degrade
 
   const SimResult r =
-      Simulator(s.wf, platform).run_with_faults(s.schedule, s.weights, s.model, recovery);
+      Simulator(s.wf, platform)
+          .run(s.schedule, s.weights, {.faults = s.model, .recovery = recovery});
 
   const Seconds crash_time = 10.0 + s.c_vm0;
   EXPECT_EQ(r.faults.crashes, 1u);
@@ -374,7 +394,7 @@ TEST(Faults, UncappedRecoveryProvisionsFreshVm) {
   ASSERT_GT(s.c_vm2, 210.0);  // the replacement VM survives the re-run
   const auto platform = testing::mono_platform();
 
-  const SimResult r = Simulator(s.wf, platform).run_with_faults(s.schedule, s.weights, s.model);
+  const SimResult r = Simulator(s.wf, platform).run(s.schedule, s.weights, {.faults = s.model});
 
   const Seconds crash_time = 10.0 + s.c_vm0;
   const Seconds restart = crash_time + 10.0;
@@ -402,8 +422,8 @@ TEST(Faults, SameSeedGivesBitIdenticalResults) {
   model.p_boot_fail = 0.1;
 
   Simulator sim(wf, platform);
-  const SimResult a = sim.run_with_faults(out.schedule, weights, model);
-  const SimResult b = sim.run_with_faults(out.schedule, weights, model);
+  const SimResult a = sim.run(out.schedule, weights, {.faults = model});
+  const SimResult b = sim.run(out.schedule, weights, {.faults = model});
 
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
   EXPECT_DOUBLE_EQ(a.total_cost(), b.total_cost());
@@ -429,15 +449,22 @@ TEST(Faults, InvalidModelRejectedAtRunTime) {
   FaultModel bad;
   bad.p_boot_fail = 1.5;
   EXPECT_THROW(
-      (void)sim.run_with_faults(schedule, dag::WeightRealization({100.0}), bad),
+      (void)sim.run(schedule, dag::WeightRealization({100.0}), {.faults = bad}),
       InvalidArgument);
   FaultModel fine;
   fine.lambda_crash = 1.0;
   RecoveryPolicy bad_recovery;
   bad_recovery.max_boot_attempts = 0;
-  EXPECT_THROW((void)sim.run_with_faults(schedule, dag::WeightRealization({100.0}), fine,
-                                         bad_recovery),
+  EXPECT_THROW((void)sim.run(schedule, dag::WeightRealization({100.0}),
+                             {.faults = fine, .recovery = bad_recovery}),
                InvalidArgument);
+  // A disabled model is no fault layer, but an invalid one is still rejected.
+  FaultModel disabled_bad;
+  disabled_bad.p_boot_fail = -1.0;
+  ASSERT_FALSE(disabled_bad.enabled());
+  EXPECT_THROW(
+      (void)sim.run(schedule, dag::WeightRealization({100.0}), {.faults = disabled_bad}),
+      InvalidArgument);
 }
 
 }  // namespace

@@ -19,7 +19,7 @@ SimResult run_diamond(const dag::Workflow& wf, const platform::Platform& platfor
   const VmId b = schedule.add_vm(1);
   std::size_t i = 0;
   for (dag::TaskId t : wf.topological_order()) schedule.assign(t, i++ % 2 == 0 ? a : b);
-  return Simulator(wf, platform).run_mean(schedule);
+  return Simulator(wf, platform).run(schedule, dag::mean_weights(wf));
 }
 
 TEST(Gantt, ProducesWellFormedSvg) {
@@ -54,7 +54,7 @@ TEST(Gantt, EscapesTaskNames) {
   Schedule schedule(1);
   schedule.assign(0, schedule.add_vm(0));
   const auto platform = testing::toy_platform();
-  const SimResult result = Simulator(wf, platform).run_mean(schedule);
+  const SimResult result = Simulator(wf, platform).run(schedule, dag::mean_weights(wf));
   const std::string svg = render_gantt_svg(wf, result);
   EXPECT_NO_THROW((void)parse_xml(svg));
   EXPECT_NE(svg.find("a&lt;b&gt;&amp;c"), std::string::npos);
@@ -123,7 +123,8 @@ TEST(Gantt, MarksRestartsInTooltips) {
   schedule.assign(0, schedule.add_vm(0));
   const auto platform = testing::toy_platform();
   const SimResult result =
-      Simulator(wf, platform).run_online(schedule, dag::WeightRealization({1000.0}), {});
+      Simulator(wf, platform)
+          .run(schedule, dag::WeightRealization({1000.0}), {.online = OnlinePolicy{}});
   ASSERT_EQ(result.migrations, 1u);
   const std::string svg = render_gantt_svg(wf, result);
   EXPECT_NE(svg.find("1 restart"), std::string::npos);

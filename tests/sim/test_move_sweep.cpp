@@ -4,7 +4,7 @@
 /// A move sweep resumes every candidate from a paused run of the base
 /// schedule instead of running it from time zero (DESIGN.md Section 12).
 /// Every case here compares, bit for bit, what the sweep reports with
-/// run_conservative on the candidate schedule built the way refinement
+/// a conservative run of the candidate schedule built the way refinement
 /// builds it: the makespan and cost the sweep returns, and every field of
 /// the SimResult it hands to the post-run hook.  The hooked sweeps also
 /// audit every candidate's makespan against its lower bound.
@@ -160,7 +160,7 @@ void compare_with_full_run(const dag::Workflow& wf, const platform::Platform& pl
   if (in_reference) return;
   in_reference = true;
   Simulator reference(wf, platform);
-  const SimResult full = reference.run_conservative(schedule);
+  const SimResult full = reference.run(schedule, reference.conservative_weights());
   in_reference = false;
   ++hook_tally->hooked;
   const std::string difference = first_difference(result, full);
@@ -189,13 +189,14 @@ class ComparingHook {
 void check_sweep(Simulator& simulator, const Schedule& base, dag::TaskId task,
                  std::span<const MoveTarget> targets, Tally& tally) {
   set_post_run_check(nullptr);
-  const SimResult base_result = simulator.run_conservative(base);
+  const SimResult base_result = simulator.run(base, simulator.conservative_weights());
   const std::vector<MoveOutcome> outcomes =
       simulator.sweep_moves(base, base_result, task, targets);
   ASSERT_EQ(outcomes.size(), targets.size());
   Simulator reference(simulator.workflow(), simulator.platform());
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    const SimResult full = reference.run_conservative(moved(base, task, targets[i]));
+    const SimResult full =
+        reference.run(moved(base, task, targets[i]), reference.conservative_weights());
     tally.record(same(outcomes[i].makespan, full.makespan) &&
                      same(outcomes[i].cost, full.total_cost()),
                  "outcome of task " + std::to_string(task) + " target " + std::to_string(i));
@@ -379,7 +380,7 @@ void check_bounds(Simulator& simulator, const Schedule& base, dag::TaskId task,
     const std::optional<Seconds> patched =
         simulator.makespan_lower_bound(base, weights, task, targets[i]);
     const std::optional<Seconds> bound = reference.makespan_lower_bound(candidate, weights);
-    const SimResult full = reference.run_conservative(candidate);
+    const SimResult full = reference.run(candidate, reference.conservative_weights());
     const std::string at = "task " + std::to_string(task) + " target " + std::to_string(i);
     tally.record(patched && bound && same(*patched, *bound), "patched bound differs at " + at);
     tally.record(full.start_first == 0 && bound && *bound <= full.makespan,
@@ -396,7 +397,7 @@ void check_screening(Simulator& simulator, const Schedule& base, dag::TaskId tas
                      std::span<const MoveTarget> targets, Tally& tally) {
   constexpr Seconds inf = std::numeric_limits<Seconds>::infinity();
   set_post_run_check(nullptr);
-  const SimResult base_result = simulator.run_conservative(base);
+  const SimResult base_result = simulator.run(base, simulator.conservative_weights());
   const std::vector<MoveOutcome> all = simulator.sweep_moves(base, base_result, task, targets);
   Seconds best = base_result.makespan;
   for (const MoveOutcome& outcome : all) best = std::min(best, outcome.makespan);
@@ -466,7 +467,7 @@ TEST(MoveSweep, LowerBoundAllowsForEarlyFlowCompletions) {
   schedule.assign(b, schedule.add_vm(0));
 
   Simulator simulator(wf, platform);
-  const SimResult run = simulator.run_conservative(schedule);
+  const SimResult run = simulator.run(schedule, simulator.conservative_weights());
   ASSERT_LT(run.tasks[a].start, 14.0);
   const std::optional<Seconds> bound =
       simulator.makespan_lower_bound(schedule, dag::conservative_weights(wf));
@@ -584,7 +585,7 @@ TEST(MoveSweep, InsertionAtTheHeadOfAVmBookedAtTimeZero) {
   ASSERT_EQ(base.insert_position(x, v1), 0u);
 
   Simulator simulator(wf, platform);
-  const SimResult base_result = simulator.run_conservative(base);
+  const SimResult base_result = simulator.run(base, simulator.conservative_weights());
   ASSERT_EQ(base_result.vms[v1].boot_request, 0.0);
   Tally tally;
   check_sweep(simulator, base, x, all_targets(base, platform, x), tally);
@@ -631,7 +632,8 @@ TEST(MoveSweep, SuccessorEdgesFlipBetweenLocalAndCrossVm) {
   check_sweep(simulator, base, t, std::vector{MoveTarget::existing(v1)}, tally);
   expect_no_mismatch(tally);
   // The candidate's U finds Q's data at the DC from the start of its wait.
-  const SimResult candidate = simulator.run_conservative(moved(base, t, MoveTarget::existing(v1)));
+  const SimResult candidate =
+      simulator.run(moved(base, t, MoveTarget::existing(v1)), simulator.conservative_weights());
   EXPECT_GT(candidate.tasks[u].inputs_at_dc, 0.0);
   EXPECT_LT(candidate.tasks[u].inputs_at_dc, candidate.tasks[t].finish);
   check_every_task(simulator, base, tally);
@@ -655,11 +657,11 @@ TEST(MoveSweep, MoveBreakingSameVmOrderThrowsTheValidateError) {
   base.assign(b, v1);
 
   Simulator simulator(wf, platform);
-  const SimResult base_result = simulator.run_conservative(base);
+  const SimResult base_result = simulator.run(base, simulator.conservative_weights());
   const std::vector targets{MoveTarget::fresh(1), MoveTarget::existing(v1)};
   std::string expected;
   try {
-    (void)Simulator(wf, platform).run_conservative(moved(base, a, targets[1]));
+    (void)Simulator(wf, platform).run(moved(base, a, targets[1]), dag::conservative_weights(wf));
   } catch (const ValidationError& error) {
     expected = error.what();
   }
@@ -674,7 +676,7 @@ TEST(MoveSweep, MoveBreakingSameVmOrderThrowsTheValidateError) {
     }
   }
   // The failed sweep leaves the Simulator usable.
-  EXPECT_EQ(simulator.run_conservative(base).makespan, base_result.makespan);
+  EXPECT_EQ(simulator.run(base, simulator.conservative_weights()).makespan, base_result.makespan);
 }
 
 TEST(MoveSweep, ScreenedSweepKeepsTheDeadlockOfAMultiprocessorVm) {
@@ -702,14 +704,14 @@ TEST(MoveSweep, ScreenedSweepKeepsTheDeadlockOfAMultiprocessorVm) {
   const std::vector targets{MoveTarget::fresh(2), MoveTarget::existing(v0)};
   std::string expected;
   try {
-    (void)Simulator(wf, platform).run_conservative(moved(base, y, targets[1]));
+    (void)Simulator(wf, platform).run(moved(base, y, targets[1]), dag::conservative_weights(wf));
   } catch (const ValidationError& error) {
     expected = error.what();
   }
   ASSERT_NE(expected.find("deadlocked"), std::string::npos) << expected;
 
   Simulator simulator(wf, platform);
-  const SimResult base_result = simulator.run_conservative(base);
+  const SimResult base_result = simulator.run(base, simulator.conservative_weights());
   const dag::WeightRealization weights = dag::conservative_weights(wf);
   EXPECT_FALSE(simulator.makespan_lower_bound(base, weights, y, targets[1]).has_value());
   EXPECT_TRUE(simulator.makespan_lower_bound(base, weights, y, targets[0]).has_value());
@@ -725,7 +727,7 @@ Simulator* sweeping = nullptr;
 
 void run_the_sweeping_simulator(const dag::Workflow& /*wf*/, const platform::Platform& /*p*/,
                                 const Schedule& schedule, const SimResult& /*result*/) {
-  (void)sweeping->run_conservative(schedule);
+  (void)sweeping->run(schedule, sweeping->conservative_weights());
 }
 
 TEST(MoveSweep, RefusesToRunTheSimulatorItIsSweeping) {
@@ -736,7 +738,7 @@ TEST(MoveSweep, RefusesToRunTheSimulatorItIsSweeping) {
   const VmId v1 = base.add_vm(1);
   for (dag::TaskId t = 0; t < wf.task_count(); ++t) base.assign(t, t == 2 ? v1 : v0);
   Simulator simulator(wf, platform);
-  const SimResult base_result = simulator.run_conservative(base);
+  const SimResult base_result = simulator.run(base, simulator.conservative_weights());
   sweeping = &simulator;
   set_post_run_check(&run_the_sweeping_simulator);
   const std::vector targets{MoveTarget::existing(v1)};
@@ -753,7 +755,7 @@ TEST(MoveSweep, NeedsASimulatorWithoutABus) {
   for (dag::TaskId t = 0; t < wf.task_count(); ++t) base.assign(t, v0);
   obs::EventBus bus;
   Simulator simulator(wf, platform, &bus);
-  const SimResult base_result = simulator.run_conservative(base);
+  const SimResult base_result = simulator.run(base, simulator.conservative_weights());
   const std::vector targets{MoveTarget::fresh(0)};
   EXPECT_THROW((void)simulator.sweep_moves(base, base_result, 3, targets), InvalidArgument);
 }

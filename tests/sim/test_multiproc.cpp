@@ -29,7 +29,7 @@ TEST(MultiProc, IndependentTasksRunConcurrently) {
   const VmId vm = s.add_vm(0);
   s.assign(0, vm);
   s.assign(1, vm);
-  const SimResult r = Simulator(wf, platform).run_mean(s);
+  const SimResult r = Simulator(wf, platform).run(s, dag::mean_weights(wf));
   // Both start right after boot on the two processors.
   EXPECT_DOUBLE_EQ(r.tasks[0].start, 10.0);
   EXPECT_DOUBLE_EQ(r.tasks[1].start, 10.0);
@@ -52,7 +52,7 @@ TEST(MultiProc, ThreeTasksOnTwoProcessors) {
   s.assign(0, vm);
   s.assign(1, vm);
   s.assign(2, vm);
-  const SimResult r = Simulator(wf, platform).run_mean(s);
+  const SimResult r = Simulator(wf, platform).run(s, dag::mean_weights(wf));
   // A and B start at 10; C takes the processor A frees at 110.
   EXPECT_DOUBLE_EQ(r.tasks[0].start, 10.0);
   EXPECT_DOUBLE_EQ(r.tasks[1].start, 10.0);
@@ -79,7 +79,7 @@ TEST(MultiProc, StartsStayInListOrder) {
   s.set_priority(b, 1);
   s.assign(a, vm);
   s.assign(b, vm);
-  const SimResult r = Simulator(wf, platform).run_mean(s);
+  const SimResult r = Simulator(wf, platform).run(s, dag::mean_weights(wf));
   // P: 10..110; upload 110..111; vm boots at 111 (A's data now at DC),
   // download 121..122; A starts 122 — and only then B.
   EXPECT_DOUBLE_EQ(r.tasks[a].start, 122.0);
@@ -96,7 +96,7 @@ TEST(MultiProc, BusyNeverExceedsProcessorCapacity) {
   Schedule s(wf.task_count());
   const VmId vm = s.add_vm(0);
   for (dag::TaskId t : wf.topological_order()) s.assign(t, vm);
-  const SimResult r = Simulator(wf, platform).run_mean(s);
+  const SimResult r = Simulator(wf, platform).run(s, dag::mean_weights(wf));
   const VmRecord& record = r.vms[vm];
   EXPECT_LE(record.busy, (record.end - record.boot_done) * 4 + 1e-6);
   EXPECT_GT(record.busy, record.end - record.boot_done);  // real overlap happened
@@ -115,7 +115,7 @@ TEST(QuantizedBilling, SimulatorRoundsVmUsageUp) {
   s.assign(0, vm);
   s.assign(1, vm);
   // Usage is 200 s, billed as a full hour.
-  const SimResult r = Simulator(wf, hourly).run_mean(s);
+  const SimResult r = Simulator(wf, hourly).run(s, dag::mean_weights(wf));
   EXPECT_DOUBLE_EQ(r.cost.vm_time, 3600.0);
   EXPECT_DOUBLE_EQ(r.cost.vm_setup, 0.5);
 
@@ -125,7 +125,7 @@ TEST(QuantizedBilling, SimulatorRoundsVmUsageUp) {
   const VmId vm2 = s2.add_vm(0);
   s2.assign(0, vm2);
   s2.assign(1, vm2);
-  const SimResult r2 = Simulator(wf, continuous).run_mean(s2);
+  const SimResult r2 = Simulator(wf, continuous).run(s2, dag::mean_weights(wf));
   EXPECT_DOUBLE_EQ(r2.cost.vm_time, 200.0);
 }
 
@@ -147,8 +147,8 @@ TEST(QuantizedBilling, HourlyBillingPenalizesManyVms) {
   spread.assign(0, spread.add_vm(0));
   spread.assign(1, spread.add_vm(0));
   Simulator sim(wf, hourly);
-  EXPECT_DOUBLE_EQ(sim.run_mean(shared).cost.vm_time, 3600.0);
-  EXPECT_DOUBLE_EQ(sim.run_mean(spread).cost.vm_time, 7200.0);
+  EXPECT_DOUBLE_EQ(sim.run(shared, dag::mean_weights(wf)).cost.vm_time, 3600.0);
+  EXPECT_DOUBLE_EQ(sim.run(spread, dag::mean_weights(wf)).cost.vm_time, 7200.0);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 #include "dag/stochastic.hpp"
 #include "exp/budget_levels.hpp"
@@ -47,7 +49,7 @@ TEST(Online, TailTaskMigratesToFasterVmExactTimeline) {
   const auto platform = testing::toy_platform();
   OnlinePolicy policy;
   policy.timeout_sigmas = 2.0;  // tolerate (100 + 2*50)/1 = 200 s
-  const SimResult r = Simulator(s.wf, platform).run_online(s.schedule, s.weights, policy);
+  const SimResult r = Simulator(s.wf, platform).run(s.schedule, s.weights, {.online = policy});
 
   EXPECT_EQ(r.migrations, 1u);
   EXPECT_EQ(r.tasks[0].restarts, 1u);
@@ -67,7 +69,8 @@ TEST(Online, TypicalDrawDoesNotMigrate) {
   TailScenario s;
   s.weights = dag::WeightRealization({120.0});  // within mu + 2 sigma
   const auto platform = testing::toy_platform();
-  const SimResult r = Simulator(s.wf, platform).run_online(s.schedule, s.weights, {});
+  const SimResult r =
+      Simulator(s.wf, platform).run(s.schedule, s.weights, {.online = OnlinePolicy{}});
   EXPECT_EQ(r.migrations, 0u);
   EXPECT_DOUBLE_EQ(r.makespan, 130.0);
 }
@@ -77,7 +80,7 @@ TEST(Online, MaxRestartsZeroDisablesMigration) {
   const auto platform = testing::toy_platform();
   OnlinePolicy policy;
   policy.max_restarts = 0;
-  const SimResult r = Simulator(s.wf, platform).run_online(s.schedule, s.weights, policy);
+  const SimResult r = Simulator(s.wf, platform).run(s.schedule, s.weights, {.online = policy});
   EXPECT_EQ(r.migrations, 0u);
   EXPECT_DOUBLE_EQ(r.makespan, 1010.0);
 }
@@ -87,7 +90,7 @@ TEST(Online, MinSpeedupGateBlocksPointlessMigration) {
   const auto platform = testing::toy_platform();
   OnlinePolicy policy;
   policy.min_speedup = 3.0;  // fastest/current = 2 < 3
-  const SimResult r = Simulator(s.wf, platform).run_online(s.schedule, s.weights, policy);
+  const SimResult r = Simulator(s.wf, platform).run(s.schedule, s.weights, {.online = policy});
   EXPECT_EQ(r.migrations, 0u);
 }
 
@@ -96,7 +99,8 @@ TEST(Online, AlreadyOnFastestCategoryNeverMigrates) {
   Schedule fast_schedule(1);
   fast_schedule.assign(0, fast_schedule.add_vm(1));  // fast VM
   const auto platform = testing::toy_platform();
-  const SimResult r = Simulator(s.wf, platform).run_online(fast_schedule, s.weights, {});
+  const SimResult r =
+      Simulator(s.wf, platform).run(fast_schedule, s.weights, {.online = OnlinePolicy{}});
   EXPECT_EQ(r.migrations, 0u);
 }
 
@@ -105,7 +109,7 @@ TEST(Online, BudgetCapBlocksMigration) {
   const auto platform = testing::toy_platform();
   OnlinePolicy policy;
   policy.budget_cap = 100.0;  // the rescue VM alone would project past this
-  const SimResult r = Simulator(s.wf, platform).run_online(s.schedule, s.weights, policy);
+  const SimResult r = Simulator(s.wf, platform).run(s.schedule, s.weights, {.online = policy});
   EXPECT_EQ(r.migrations, 0u);
 }
 
@@ -120,13 +124,13 @@ TEST(Online, BudgetCapExactlyAtProjectionBlocksMigration) {
   OnlinePolicy policy;
   policy.budget_cap = 351.0;
   const SimResult blocked =
-      Simulator(s.wf, platform).run_online(s.schedule, s.weights, policy);
+      Simulator(s.wf, platform).run(s.schedule, s.weights, {.online = policy});
   EXPECT_EQ(blocked.migrations, 0u);
   EXPECT_DOUBLE_EQ(blocked.makespan, 1010.0);
 
   policy.budget_cap = 351.0 + 1e-3;
   const SimResult allowed =
-      Simulator(s.wf, platform).run_online(s.schedule, s.weights, policy);
+      Simulator(s.wf, platform).run(s.schedule, s.weights, {.online = policy});
   EXPECT_EQ(allowed.migrations, 1u);
   EXPECT_DOUBLE_EQ(allowed.makespan, 720.0);
 }
@@ -144,7 +148,7 @@ TEST(Online, LocalPredecessorDataIsReStagedThroughDc) {
   const dag::WeightRealization weights({100.0, 1000.0});
 
   const auto platform = testing::toy_platform();
-  const SimResult r = Simulator(wf, platform).run_online(schedule, weights, {});
+  const SimResult r = Simulator(wf, platform).run(schedule, weights, {.online = OnlinePolicy{}});
 
   EXPECT_EQ(r.migrations, 1u);
   // A: 10..110.  B starts 110, interrupted at 110 + 200 = 310.  The A->B
@@ -168,7 +172,7 @@ TEST(Online, DownstreamConsumerOnOldVmStillGetsData) {
   const dag::WeightRealization weights({1000.0, 100.0});
 
   const auto platform = testing::toy_platform();
-  const SimResult r = Simulator(wf, platform).run_online(schedule, weights, {});
+  const SimResult r = Simulator(wf, platform).run(schedule, weights, {.online = OnlinePolicy{}});
 
   EXPECT_EQ(r.migrations, 1u);
   // A starts 10, interrupted 210, reruns on the rescue VM 220..720; its
@@ -187,7 +191,7 @@ TEST(Online, RestartBoundIsRespectedOnRescueVm) {
   s.weights = dag::WeightRealization({10000.0});
   const auto platform = testing::toy_platform();
   OnlinePolicy policy;  // max_restarts = 1
-  const SimResult r = Simulator(s.wf, platform).run_online(s.schedule, s.weights, policy);
+  const SimResult r = Simulator(s.wf, platform).run(s.schedule, s.weights, {.online = policy});
   EXPECT_EQ(r.migrations, 1u);
   EXPECT_EQ(r.tasks[0].restarts, 1u);
   // Rescue: boots 210..220, runs 10000/2 = 5000 s to 5220.
@@ -201,8 +205,10 @@ TEST(Online, DeterministicAcrossRuns) {
   Rng rng1(5);
   Rng rng2(5);
   Simulator sim(wf, platform);
-  const SimResult a = sim.run_online(out.schedule, dag::sample_weights(wf, rng1), {});
-  const SimResult b = sim.run_online(out.schedule, dag::sample_weights(wf, rng2), {});
+  const SimResult a =
+      sim.run(out.schedule, dag::sample_weights(wf, rng1), {.online = OnlinePolicy{}});
+  const SimResult b =
+      sim.run(out.schedule, dag::sample_weights(wf, rng2), {.online = OnlinePolicy{}});
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
   EXPECT_DOUBLE_EQ(a.total_cost(), b.total_cost());
   EXPECT_EQ(a.migrations, b.migrations);
@@ -231,7 +237,7 @@ TEST(Online, HighUncertaintyWorkflowStaysSoundUnderMigrations) {
     Rng stream = base.fork(static_cast<std::uint64_t>(rep));
     const dag::WeightRealization weights = dag::sample_weights(wf, stream);
     offline_total += sim.run(out.schedule, weights).makespan;
-    const SimResult online = sim.run_online(out.schedule, weights, {});
+    const SimResult online = sim.run(out.schedule, weights, {.online = OnlinePolicy{}});
     online_total += online.makespan;
     total_migrations += online.migrations;
     for (const dag::Edge& e : wf.edges())
@@ -247,10 +253,37 @@ TEST(Online, InvalidPolicyRejected) {
   Simulator sim(s.wf, platform);
   OnlinePolicy negative;
   negative.timeout_sigmas = -1.0;
-  EXPECT_THROW((void)sim.run_online(s.schedule, s.weights, negative), InvalidArgument);
+  EXPECT_THROW((void)sim.run(s.schedule, s.weights, {.online = negative}), InvalidArgument);
   OnlinePolicy slowdown;
   slowdown.min_speedup = 0.5;
-  EXPECT_THROW((void)sim.run_online(s.schedule, s.weights, slowdown), InvalidArgument);
+  EXPECT_THROW((void)sim.run(s.schedule, s.weights, {.online = slowdown}), InvalidArgument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  OnlinePolicy nan_timeout;
+  nan_timeout.timeout_sigmas = nan;
+  EXPECT_THROW((void)sim.run(s.schedule, s.weights, {.online = nan_timeout}), InvalidArgument);
+  for (const double cap : {-1.0, nan}) {
+    OnlinePolicy bad_cap;
+    bad_cap.budget_cap = cap;
+    EXPECT_THROW((void)sim.run(s.schedule, s.weights, {.online = bad_cap}), InvalidArgument)
+        << cap;
+  }
+  OnlinePolicy uncapped;  // an infinite cap means no cap
+  uncapped.budget_cap = std::numeric_limits<double>::infinity();
+  EXPECT_NO_THROW((void)sim.run(s.schedule, s.weights, {.online = uncapped}));
+}
+
+TEST(Online, CombinedWithEnabledFaultsRejected) {
+  TailScenario s;
+  const auto platform = testing::toy_platform();
+  Simulator sim(s.wf, platform);
+  FaultModel faults;
+  faults.lambda_crash = 1.0;
+  EXPECT_THROW((void)sim.run(s.schedule, s.weights, {.online = OnlinePolicy{}, .faults = faults}),
+               InvalidArgument);
+  // A disabled model is no fault layer: the online run goes ahead.
+  const SimResult r =
+      sim.run(s.schedule, s.weights, {.online = OnlinePolicy{}, .faults = FaultModel{}});
+  EXPECT_EQ(r.migrations, 1u);
 }
 
 }  // namespace

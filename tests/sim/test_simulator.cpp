@@ -37,7 +37,7 @@ TEST(Simulator, ChainOnSingleVmTimesExactly) {
   for (TaskId t : wf.topological_order()) s.assign(t, vm);
 
   Simulator sim(wf, platform);
-  const SimResult r = sim.run_mean(s);
+  const SimResult r = sim.run(s, dag::mean_weights(wf));
 
   // boot 0..10, A 10..110, B 110..310, C 310..710; no transfers.
   EXPECT_DOUBLE_EQ(r.tasks[0].start, 10.0);
@@ -76,7 +76,7 @@ TEST(Simulator, DiamondAcrossTwoVmsTimesExactly) {
   s.assign(c, vm1);
 
   Simulator sim(wf, platform);
-  const SimResult r = sim.run_mean(s);
+  const SimResult r = sim.run(s, dag::mean_weights(wf));
 
   // vm0: boot 0..10; ext-input download 10..14; A 14..114.
   EXPECT_DOUBLE_EQ(r.tasks[a].start, 14.0);
@@ -120,7 +120,7 @@ TEST(Simulator, SameVmDataIsFree) {
   const VmId vm = s.add_vm(1);  // everything on one fast VM
   for (TaskId t : wf.topological_order()) s.assign(t, vm);
   Simulator sim(wf, platform);
-  const SimResult r = sim.run_mean(s);
+  const SimResult r = sim.run(s, dag::mean_weights(wf));
   // Only the external input (4 s) and output (2 s) are transferred.
   EXPECT_EQ(r.transfers.count, 2u);
   EXPECT_DOUBLE_EQ(r.transfers.bytes, 6e6);
@@ -155,8 +155,8 @@ TEST(Simulator, ConservativeRunUsesMuPlusSigma) {
   const VmId vm = s.add_vm(0);
   for (TaskId t : wf.topological_order()) s.assign(t, vm);
   Simulator sim(wf, platform);
-  const SimResult mean = sim.run_mean(s);
-  const SimResult conservative = sim.run_conservative(s);
+  const SimResult mean = sim.run(s, dag::mean_weights(wf));
+  const SimResult conservative = sim.run(s, sim.conservative_weights());
   // Compute doubles (700 -> 1400); transfers unchanged.
   EXPECT_DOUBLE_EQ(conservative.makespan - mean.makespan, 700.0);
 }
@@ -171,7 +171,7 @@ TEST(Simulator, ListOrderGatesExecution) {
   s.assign(0, vm);
   s.assign(1, vm);
   Simulator sim(wf, platform);
-  const SimResult r = sim.run_mean(s);
+  const SimResult r = sim.run(s, dag::mean_weights(wf));
   EXPECT_DOUBLE_EQ(r.tasks[1].start, 10.0);
   EXPECT_DOUBLE_EQ(r.tasks[0].start, 110.0);
 }
@@ -200,7 +200,7 @@ TEST(Simulator, CrossVmDeadlockDetected) {
   s.assign(t4, vm1);
 
   Simulator sim(wf, platform);
-  EXPECT_THROW((void)sim.run_mean(s), ValidationError);
+  EXPECT_THROW((void)sim.run(s, dag::mean_weights(wf)), ValidationError);
 }
 
 TEST(Simulator, DcContentionSlowsConcurrentUploads) {
@@ -221,7 +221,7 @@ TEST(Simulator, DcContentionSlowsConcurrentUploads) {
   };
 
   const auto uncontended = testing::toy_platform();
-  const SimResult free_run = Simulator(wf, uncontended).run_mean(make_schedule());
+  const SimResult free_run = Simulator(wf, uncontended).run(make_schedule(), dag::mean_weights(wf));
 
   const auto contended = platform::PlatformBuilder("tight")
                              .add_category({"slow", 1.0, 1.0, 0.5, 1})
@@ -229,7 +229,7 @@ TEST(Simulator, DcContentionSlowsConcurrentUploads) {
                              .bandwidth(1e6)
                              .dc_aggregate_bandwidth(1e6)  // one link's worth
                              .build();
-  const SimResult tight_run = Simulator(wf, contended).run_mean(make_schedule());
+  const SimResult tight_run = Simulator(wf, contended).run(make_schedule(), dag::mean_weights(wf));
 
   // Uploads A->C and B->C overlap: at half rate each they take 2 s instead
   // of 1 s, delaying C by exactly one second.
@@ -245,7 +245,7 @@ TEST(Simulator, EmptyVmsAreIgnoredAndFree) {
   (void)s.add_vm(1);  // never used
   s.assign(0, used);
   s.assign(1, used);
-  const SimResult r = Simulator(wf, platform).run_mean(s);
+  const SimResult r = Simulator(wf, platform).run(s, dag::mean_weights(wf));
   EXPECT_EQ(r.used_vms, 1u);
   EXPECT_DOUBLE_EQ(r.cost.vm_setup, 0.5);  // only the used VM's setup
 }
@@ -270,7 +270,7 @@ TEST(Simulator, MakespanAtLeastCriticalPathWork) {
     for (TaskId t : wf.topological_order())
       s.assign(t, layout == 0 ? (s.vm_count() ? 0 : s.add_vm(1))
                               : s.add_vm(static_cast<platform::CategoryId>(layout - 1)));
-    const SimResult r = Simulator(wf, platform).run_mean(s);
+    const SimResult r = Simulator(wf, platform).run(s, dag::mean_weights(wf));
     // CP work: A + C + D = 500 instructions at speed 2 minimum.
     EXPECT_GE(r.makespan, 500.0 / 2.0);
   }
@@ -282,7 +282,7 @@ TEST(Simulator, CriticalPathEndsAtLastTask) {
   Schedule s(4);
   const VmId vm = s.add_vm(0);
   for (TaskId t : wf.topological_order()) s.assign(t, vm);
-  const SimResult r = Simulator(wf, platform).run_mean(s);
+  const SimResult r = Simulator(wf, platform).run(s, dag::mean_weights(wf));
   const auto path = schedule_critical_path(r);
   ASSERT_FALSE(path.empty());
   EXPECT_EQ(path.back(), wf.find_task("D"));
@@ -297,7 +297,7 @@ TEST(Simulator, TraceExportsAreWellFormed) {
   Schedule s(4);
   const VmId vm = s.add_vm(0);
   for (TaskId t : wf.topological_order()) s.assign(t, vm);
-  const SimResult r = Simulator(wf, platform).run_mean(s);
+  const SimResult r = Simulator(wf, platform).run(s, dag::mean_weights(wf));
 
   std::ostringstream tasks_csv;
   write_task_trace_csv(wf, r, tasks_csv);
@@ -459,21 +459,21 @@ TEST(Simulator, ReusedSimulatorMatchesFreshOnesRunForRun) {
   Simulator reused(wf, platform);
   {
     SCOPED_TRACE("online run that migrates");
-    const SimResult r = reused.run_online(two, weights, policy);
+    const SimResult r = reused.run(two, weights, {.online = policy});
     ASSERT_GT(r.migrations, 0u);
-    expect_identical(r, Simulator(wf, platform).run_online(two, weights, policy));
+    expect_identical(r, Simulator(wf, platform).run(two, weights, {.online = policy}));
   }
   {
     SCOPED_TRACE("faults with crash recovery under contention");
-    const SimResult r = reused.run_with_faults(many, weights, faults);
+    const SimResult r = reused.run(many, weights, {.faults = faults});
     ASSERT_GT(r.faults.crashes, 0u);
     ASSERT_GT(r.vms.size(), many.vm_count());  // recovery provisioned VMs
-    expect_identical(r, Simulator(wf, platform).run_with_faults(many, weights, faults));
+    expect_identical(r, Simulator(wf, platform).run(many, weights, {.faults = faults}));
   }
   {
     SCOPED_TRACE("faults again: fresh fault draws");
-    expect_identical(reused.run_with_faults(many, weights, faults),
-                     Simulator(wf, platform).run_with_faults(many, weights, faults));
+    expect_identical(reused.run(many, weights, {.faults = faults}),
+                     Simulator(wf, platform).run(many, weights, {.faults = faults}));
   }
   {
     // The fault run ends with the crash events of VMs that had drained still
@@ -496,13 +496,13 @@ TEST(Simulator, ReusedSimulatorMatchesFreshOnesRunForRun) {
   }
   {
     SCOPED_TRACE("conservative run with many VMs");
-    expect_identical(reused.run_conservative(many),
-                     Simulator(wf, platform).run_conservative(many));
+    expect_identical(reused.run(many, reused.conservative_weights()),
+                     Simulator(wf, platform).run(many, dag::conservative_weights(wf)));
   }
   {
     SCOPED_TRACE("online again after the others");
-    expect_identical(reused.run_online(two, weights, policy),
-                     Simulator(wf, platform).run_online(two, weights, policy));
+    expect_identical(reused.run(two, weights, {.online = policy}),
+                     Simulator(wf, platform).run(two, weights, {.online = policy}));
   }
 }
 

@@ -281,7 +281,7 @@ int cmd_schedule(const cli::Args& args) {
             << "  VMs                : " << out.schedule.used_vm_count() << "\n";
 
   sim::Simulator simulator(wf, cloud, obs_options.bus_or_null());
-  const sim::SimResult prediction = simulator.run_conservative(out.schedule);
+  const sim::SimResult prediction = simulator.run(out.schedule, simulator.conservative_weights());
   if (obs_options.want_metrics())
     sim::record_run_metrics(obs_options.metrics, prediction, budget);
   if (args.has("gantt")) {
@@ -336,7 +336,7 @@ int cmd_simulate(const cli::Args& args) {
     for (std::size_t rep = 0; rep < reps; ++rep) {
       Rng stream = base.fork(rep);
       const sim::SimResult r =
-          simulator.run_online(out.schedule, dag::sample_weights(wf, stream), policy);
+          simulator.run(out.schedule, dag::sample_weights(wf, stream), {.online = policy});
       makespan.add(r.makespan);
       cost.add(r.total_cost());
       migrations += static_cast<double>(r.migrations);
@@ -365,11 +365,8 @@ int cmd_simulate(const cli::Args& args) {
     const Rng base(config.seed);
     Rng stream = base.fork(0);
     const dag::WeightRealization weights = dag::sample_weights(wf, stream);
-    if (config.faults.enabled())
-      (void)traced.run_with_faults(out.schedule, weights, config.faults.for_repetition(0),
-                                   config.recovery);
-    else
-      (void)traced.run(out.schedule, weights);
+    (void)traced.run(out.schedule, weights,
+                     {.faults = config.faults.for_repetition(0), .recovery = config.recovery});
   }
 
   TablePrinter table(algorithm + " on " + wf.name() + " — " +
