@@ -24,6 +24,10 @@
 /// their times gated; Table III cells (`table3`) are kept apart because most
 /// take well under the checker's 1 ms floor and the refining ones take a
 /// single sample, but their counters are gated like every other cell's.
+/// A planning cell's time is the minimum of at least 5 samples that add up
+/// to at least 50 ms; the cells take their samples round-robin, so that no
+/// slow phase of a shared host (co-tenant load lasting seconds) covers all
+/// of one cell's samples.
 /// Absolute milliseconds are machine-dependent, so the file also records a
 /// `calibration_ms` — the time of a fixed CPU-bound FNV-1a hashing loop —
 /// and the checker scales the baseline by the ratio of the two calibrations.
@@ -38,7 +42,7 @@
 ///
 /// Usage: bench_sched [output.json]   (default: BENCH_sched.json in the
 /// working directory).  CLOUDWF_QUICK shrinks the planning matrix to
-/// 100-task instances with a single sample per cell.
+/// 100-task instances with a single sample per cell and no time floor.
 
 #include <algorithm>
 #include <chrono>
@@ -81,7 +85,8 @@ double median(std::vector<double>& samples) {
 /// Fixed CPU-bound reference workload: FNV-1a over a pseudo-random buffer.
 /// Its wall time calibrates this machine against the one that produced the
 /// committed baseline, so the regression gate compares ratios, not
-/// absolute milliseconds.
+/// absolute milliseconds.  Like a cell's time, it is the minimum of its
+/// samples, which main() takes before and after the cells.
 double calibration_ms() {
   std::vector<std::uint8_t> buffer(1 << 16);
   std::uint32_t state = 0x9E3779B9u;
@@ -102,7 +107,7 @@ double calibration_ms() {
     sink = sink + hash;
     times.push_back(elapsed_ms(start));
   }
-  return median(times);
+  return *std::min_element(times.begin(), times.end());
 }
 
 /// Simulations on this thread so far: runs and simulated sweep candidates.
@@ -121,7 +126,8 @@ struct Cell {
   bool refining = false;
 
   std::size_t samples = 0;
-  double plan_ms = 0;  ///< minimum over the samples
+  double sampled_ms = 0;  ///< the samples' total
+  double plan_ms = 0;     ///< minimum over the samples
   std::size_t probes = 0;
   std::size_t sims = 0;
   std::size_t events = 0;
@@ -140,29 +146,26 @@ Dollars budget_of(const exp::BudgetLevels& levels, const std::string& level) {
   return levels.medium;
 }
 
-/// Times \p cell: the minimum of \p samples runs after a warm-up run.
-/// Refining cells take up to seconds and their times are report-only, so
-/// they get one cold sample.  The counters come from the last sample; they are
-/// deterministic, so every sample gives the same counts.
-void measure(Cell& cell, const Instance& instance, const platform::Platform& platform,
-             std::size_t samples, double& sink) {
+/// Times one schedule() of \p cell on \p instance: keeps the minimum time
+/// and the work counters, which are deterministic, so every sample gives
+/// the same counts.
+void sample(Cell& cell, const Instance& instance, const platform::Platform& platform,
+            double& sink) {
   const auto scheduler = sched::make_scheduler(cell.algorithm);
   const sched::SchedulerInput input =
       sched::make_input(instance.wf, platform, budget_of(instance.levels, cell.budget));
-  cell.samples = cell.refining ? 1 : samples;
-  if (!cell.refining) sink += scheduler->schedule(input).predicted_makespan;
-  for (std::size_t s = 0; s < cell.samples; ++s) {
-    const std::size_t probes_before = sched::probe_count();
-    const std::size_t sims_before = sims_so_far();
-    const std::size_t events_before = sim::engine_counters().events;
-    const auto start = Clock::now();
-    sink += scheduler->schedule(input).predicted_makespan;
-    const double ms = elapsed_ms(start);
-    cell.plan_ms = s == 0 ? ms : std::min(cell.plan_ms, ms);
-    cell.probes = sched::probe_count() - probes_before;
-    cell.sims = sims_so_far() - sims_before;
-    cell.events = sim::engine_counters().events - events_before;
-  }
+  const std::size_t probes_before = sched::probe_count();
+  const std::size_t sims_before = sims_so_far();
+  const std::size_t events_before = sim::engine_counters().events;
+  const auto start = Clock::now();
+  sink += scheduler->schedule(input).predicted_makespan;
+  const double ms = elapsed_ms(start);
+  cell.plan_ms = cell.samples == 0 ? ms : std::min(cell.plan_ms, ms);
+  cell.sampled_ms += ms;
+  ++cell.samples;
+  cell.probes = sched::probe_count() - probes_before;
+  cell.sims = sims_so_far() - sims_before;
+  cell.events = sim::engine_counters().events - events_before;
 }
 
 void print_cell_header(const std::string& title) {
@@ -186,10 +189,8 @@ Json cell_json(const Cell& cell) {
   row["algorithm"] = cell.algorithm;
   row["family"] = std::string(pegasus::to_string(cell.type));
   row["tasks"] = cell.tasks;
-  if (cell.table != "plan") {
-    row["budget"] = cell.budget;
-    row["samples"] = cell.samples;
-  }
+  if (cell.table != "plan") row["budget"] = cell.budget;
+  row["samples"] = cell.samples;
   row["plan_ms"] = cell.plan_ms;
   row["probes"] = cell.probes;
   row["sims"] = cell.sims;
@@ -276,6 +277,7 @@ int main(int argc, char** argv) {
 
   const bool quick = exp::quick_mode();
   const std::size_t samples = quick ? 1 : 5;
+  const double plan_total_ms = quick ? 0 : 50;
   const platform::Platform platform = platform::paper_platform();
 
   // Refining algorithms resimulate the whole schedule per probe; their cost
@@ -302,30 +304,43 @@ int main(int argc, char** argv) {
       for (const std::size_t tasks : table3b_sizes)
         cells.push_back({"3b", std::string(info.name), montage, tasks, "high", false});
 
-  const double cal_ms = calibration_ms();
+  double cal_ms = calibration_ms();
   std::cout << std::fixed << std::setprecision(3)
-            << "calibration (FNV loop) : " << cal_ms << " ms\n"
-            << "samples per cell       : " << samples
-            << " (minimum; refining cells: 1, no warm-up)\n";
+            << "samples per cell       : " << samples << " (minimum; planning cells: until "
+            << plan_total_ms << " ms in total; refining cells: 1)\n";
 
   std::map<std::pair<pegasus::WorkflowType, std::size_t>, Instance> instances;
+  for (const Cell& cell : cells) {
+    const std::pair key{cell.type, cell.tasks};
+    if (instances.contains(key)) continue;
+    dag::Workflow wf = pegasus::generate(cell.type, {cell.tasks, 1, 0.5});
+    const exp::BudgetLevels levels = exp::compute_budget_levels(wf, platform);
+    instances.emplace(key, Instance{std::move(wf), levels});
+  }
+  // Round-robin sampling (see the file comment); the minimum discards each
+  // cell's cold first sample.  Refining cells take up to seconds and their
+  // times are report-only: one cold sample each.
+  double sink = 0;  // keeps the schedules and runs observable
+  for (bool pending = true; pending;) {
+    pending = false;
+    for (Cell& cell : cells)
+      if (cell.samples < (cell.refining ? 1 : samples) ||
+          (cell.table == "plan" && cell.sampled_ms < plan_total_ms)) {
+        sample(cell, instances.at({cell.type, cell.tasks}), platform, sink);
+        pending = true;
+      }
+  }
+  cal_ms = std::min(cal_ms, calibration_ms());
+  std::cout << "calibration (FNV loop) : " << cal_ms << " ms\n";
+
   const std::map<std::string, std::string> titles{
       {"plan", "planning cells (timing gate)"},
       {"3a", "Table III(a) — CPU time vs budget"},
       {"3b", "Table III(b) — CPU time vs task count, high budget"}};
-  double sink = 0;  // keeps the schedules and runs observable
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    Cell& cell = cells[i];
-    const std::pair key{cell.type, cell.tasks};
-    auto found = instances.find(key);
-    if (found == instances.end()) {
-      dag::Workflow wf = pegasus::generate(cell.type, {cell.tasks, 1, 0.5});
-      const exp::BudgetLevels levels = exp::compute_budget_levels(wf, platform);
-      found = instances.emplace(key, Instance{std::move(wf), levels}).first;
-    }
-    measure(cell, found->second, platform, samples, sink);
-    if (i == 0 || cells[i - 1].table != cell.table) print_cell_header(titles.at(cell.table));
-    print_cell(cell);
+    if (i == 0 || cells[i - 1].table != cells[i].table)
+      print_cell_header(titles.at(cells[i].table));
+    print_cell(cells[i]);
   }
 
   Json::Object doc;
