@@ -16,15 +16,16 @@ FluidNetwork::FluidNetwork(BytesPerSec per_flow_cap, BytesPerSec aggregate_capac
 FlowId FluidNetwork::start_flow(Bytes bytes, Seconds now) {
   require(bytes >= 0, "FluidNetwork::start_flow: negative size");
   progress_to(now);
-  flows_.push_back(Flow{bytes, bytes, false});
-  const auto id = static_cast<FlowId>(flows_.size() - 1);
-  active_.push_back(id);  // zero-byte flows complete on the next advance()
+  totals_.push_back(bytes);
+  const auto id = static_cast<FlowId>(totals_.size() - 1);
+  active_.push_back(Active{bytes, id});  // zero-byte flows complete on the next advance()
+  std::push_heap(active_.begin(), active_.end(), Active::more_remaining);
   peak_active_ = std::max(peak_active_, active_.size());
   return id;
 }
 
 void FluidNetwork::reset() {
-  flows_.clear();
+  totals_.clear();
   active_.clear();
   last_update_ = 0;
   completed_bytes_ = 0;
@@ -35,25 +36,20 @@ void FluidNetwork::advance(Seconds now, std::vector<FlowId>& completed) {
   progress_to(now);
   completed.clear();
   const Bytes tolerance = current_rate() * completion_tolerance;
-  for (auto it = active_.begin(); it != active_.end();) {
-    Flow& flow = flows_[*it];
-    if (flow.remaining <= tolerance) {
-      flow.remaining = 0;
-      flow.done = true;
-      completed_bytes_ += flow.total;
-      completed.push_back(*it);
-      it = active_.erase(it);
-    } else {
-      ++it;
-    }
+  while (!active_.empty() && active_.front().remaining <= tolerance) {
+    completed.push_back(active_.front().id);
+    std::pop_heap(active_.begin(), active_.end(), Active::more_remaining);
+    active_.pop_back();
   }
+  // Ids are handed out in start order; sorting restores it for the caller
+  // and keeps the completed-bytes sum in the order the flows started.
+  std::sort(completed.begin(), completed.end());
+  for (FlowId id : completed) completed_bytes_ += totals_[id];
 }
 
 Seconds FluidNetwork::next_completion() const {
   if (active_.empty()) return std::numeric_limits<Seconds>::infinity();
-  Bytes smallest = std::numeric_limits<Bytes>::infinity();
-  for (FlowId id : active_) smallest = std::min(smallest, flows_[id].remaining);
-  return last_update_ + smallest / current_rate();
+  return last_update_ + active_.front().remaining / current_rate();
 }
 
 BytesPerSec FluidNetwork::current_rate() const {
@@ -72,8 +68,9 @@ void FluidNetwork::progress_to(Seconds now) {
                      "FluidNetwork: advanced past a pending flow completion");
   const Seconds dt = std::max(0.0, now - last_update_);
   if (dt > 0 && !active_.empty()) {
+    // One common, monotone step: the heap order survives it (fluid.hpp).
     const Bytes step = current_rate() * dt;
-    for (FlowId id : active_) flows_[id].remaining = std::max(0.0, flows_[id].remaining - step);
+    for (Active& flow : active_) flow.remaining = std::max(0.0, flow.remaining - step);
   }
   last_update_ = std::max(last_update_, now);
 }

@@ -11,6 +11,16 @@
 /// Rates are recomputed whenever the active-flow set changes, which is the
 /// standard progressive-filling fluid approximation SimGrid uses — and what
 /// lets us reproduce the paper's LIGO budget-overrun anomaly (Section V-B).
+///
+/// The active flows sit in a min-heap ordered by remaining bytes, so the
+/// next completion is the heap top and an advance pops only the flows that
+/// complete.  The order needs no repair between events: a step subtracts
+/// one common amount from every flow and clamps at zero, r -> max(0, r - step),
+/// and under IEEE round-to-nearest both the subtraction and the max are
+/// monotone, so a step can make two remainders equal but never swaps them.
+/// Only start_flow() and advance() reshape the heap.  The argument, and with
+/// it the bit-identity of every transfer end with a linear scan, relies on
+/// round-to-nearest doubles; do not build with -ffast-math.
 
 #include <cstdint>
 #include <limits>
@@ -65,16 +75,20 @@ class FluidNetwork {
  private:
   void progress_to(Seconds now);
 
-  struct Flow {
-    Bytes total = 0;
-    Bytes remaining = 0;
-    bool done = false;
+  struct Active {
+    Bytes remaining;
+    FlowId id;
+    /// Heap comparison: std::*_heap keep the greatest element under it on
+    /// top, which is the smallest remainder.
+    static bool more_remaining(const Active& a, const Active& b) {
+      return a.remaining > b.remaining;
+    }
   };
 
   BytesPerSec cap_;
   BytesPerSec aggregate_;  // 0 = unlimited
-  std::vector<Flow> flows_;
-  std::vector<FlowId> active_;  // in start order
+  std::vector<Bytes> totals_;   // size of every flow started, by id
+  std::vector<Active> active_;  // min-heap on remaining
   Seconds last_update_ = 0;
   Bytes completed_bytes_ = 0;
   std::size_t peak_active_ = 0;

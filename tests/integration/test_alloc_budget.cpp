@@ -15,6 +15,7 @@
 /// Simulator-owned execution state, the third is the current code:
 ///   conservative run, 90-task CyberShake heft-budg:  3,772 ->    427 ->  3 (8)
 ///   run, 1000-task CyberShake, sampled weights:          - ->  4,397 ->  3 (8)
+///   run, 1000-task SIPHT, sampled weights:               - ->      - ->  3 (8)
 ///   run with faults, 300-task Montage, contention 4:     - ->  2,405 -> 20 (40)
 ///   dag::from_json, 1000-task CyberShake:          649,701 -> 13,715 (25,000)
 ///   dag::from_dax, the same instance:              426,885 -> 47,079 (51,500)
@@ -82,9 +83,12 @@ TEST(AllocBudget, ConservativeRunOf90TaskCyberShake) {
   EXPECT_LE(count, 8u);
 }
 
-TEST(AllocBudget, SampledRunOf1000TaskCyberShake) {
+/// Allocations of a warmed-up sampled run of a 1000-task heft-budg
+/// schedule of family \p type, whose transfers must reach \p min_peak_flows
+/// concurrent flows.
+void sampled_run_of_1000_tasks(pegasus::WorkflowType type, std::size_t min_peak_flows) {
   sim::set_post_run_check(nullptr);
-  const dag::Workflow wf = pegasus::generate(pegasus::WorkflowType::cybershake, {1000, 1, 0.5});
+  const dag::Workflow wf = pegasus::generate(type, {1000, 1, 0.5});
   const platform::Platform platform = platform::paper_platform();
   const Dollars budget = exp::compute_budget_levels(wf, platform).medium;
   const sched::SchedulerOutput out =
@@ -97,13 +101,26 @@ TEST(AllocBudget, SampledRunOf1000TaskCyberShake) {
   sim::Simulator simulator(wf, platform);
   (void)simulator.run(out.schedule, warm_weights);
 
-  Seconds makespan = 0;
+  sim::SimResult result;
   const std::size_t count =
-      allocations_of([&] { makespan = simulator.run(out.schedule, weights).makespan; });
-  RecordProperty("allocations", std::to_string(count));
-  EXPECT_EQ(makespan, sim::Simulator(wf, platform).run(out.schedule, weights).makespan);
+      allocations_of([&] { result = simulator.run(out.schedule, weights); });
+  ::testing::Test::RecordProperty("allocations", std::to_string(count));
+  ::testing::Test::RecordProperty("peak_concurrent_flows",
+                                  std::to_string(result.transfers.peak_concurrent));
+  EXPECT_EQ(result.makespan, sim::Simulator(wf, platform).run(out.schedule, weights).makespan);
+  EXPECT_GE(result.transfers.peak_concurrent, min_peak_flows);
   EXPECT_GT(count, 0u) << "the allocation counter is not wired";
   EXPECT_LE(count, 8u);
+}
+
+TEST(AllocBudget, SampledRunOf1000TaskCyberShake) {
+  sampled_run_of_1000_tasks(pegasus::WorkflowType::cybershake, 1);
+}
+
+TEST(AllocBudget, SampledRunOf1000TaskSipht) {
+  // SIPHT's transfers peak near a thousand concurrent flows: the fluid
+  // network's heap must keep that capacity across runs.
+  sampled_run_of_1000_tasks(pegasus::WorkflowType::sipht, 900);
 }
 
 TEST(AllocBudget, FaultRunOf300TaskMontageUnderContention) {

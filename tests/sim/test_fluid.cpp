@@ -5,14 +5,84 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace cloudwf::sim {
 namespace {
+
+/// The fluid network as a linear scan over the active flows in start order:
+/// the specification FluidNetwork's heap must match bit for bit.
+class ReferenceFluid {
+ public:
+  ReferenceFluid(BytesPerSec cap, BytesPerSec aggregate) : cap_(cap), aggregate_(aggregate) {}
+
+  FlowId start_flow(Bytes bytes, Seconds now) {
+    progress_to(now);
+    flows_.push_back(Flow{bytes, bytes});
+    active_.push_back(static_cast<FlowId>(flows_.size() - 1));
+    peak_active_ = std::max(peak_active_, active_.size());
+    return active_.back();
+  }
+
+  void reset() { *this = ReferenceFluid(cap_, aggregate_); }
+
+  void advance(Seconds now, std::vector<FlowId>& completed) {
+    progress_to(now);
+    completed.clear();
+    const Bytes tolerance = current_rate() * completion_tolerance;
+    std::erase_if(active_, [&](FlowId id) {
+      if (flows_[id].remaining > tolerance) return false;
+      completed_bytes_ += flows_[id].total;
+      completed.push_back(id);
+      return true;
+    });
+  }
+
+  [[nodiscard]] Seconds next_completion() const {
+    if (active_.empty()) return std::numeric_limits<Seconds>::infinity();
+    Bytes smallest = std::numeric_limits<Bytes>::infinity();
+    for (FlowId id : active_) smallest = std::min(smallest, flows_[id].remaining);
+    return last_update_ + smallest / current_rate();
+  }
+
+  [[nodiscard]] std::size_t active_count() const { return active_.size(); }
+  [[nodiscard]] BytesPerSec current_rate() const {
+    if (aggregate_ <= 0 || active_.empty()) return cap_;
+    return std::min(cap_, aggregate_ / static_cast<double>(active_.size()));
+  }
+  [[nodiscard]] Bytes completed_bytes() const { return completed_bytes_; }
+  [[nodiscard]] std::size_t peak_active() const { return peak_active_; }
+
+ private:
+  void progress_to(Seconds now) {
+    const Seconds dt = std::max(0.0, now - last_update_);
+    if (dt > 0 && !active_.empty()) {
+      const Bytes step = current_rate() * dt;
+      for (FlowId id : active_) flows_[id].remaining = std::max(0.0, flows_[id].remaining - step);
+    }
+    last_update_ = std::max(last_update_, now);
+  }
+
+  struct Flow {
+    Bytes total;
+    Bytes remaining;
+  };
+
+  BytesPerSec cap_;
+  BytesPerSec aggregate_;
+  std::vector<Flow> flows_;
+  std::vector<FlowId> active_;  // in start order
+  Seconds last_update_ = 0;
+  Bytes completed_bytes_ = 0;
+  std::size_t peak_active_ = 0;
+};
 
 /// The flows that complete when \p net advances to \p now.
 std::vector<FlowId> advance(FluidNetwork& net, Seconds now) {
@@ -145,6 +215,103 @@ TEST(Fluid, ResetRestoresTheFreshState) {
   EXPECT_EQ(used.start_flow(400.0, 0.0), fresh.start_flow(400.0, 0.0));
   EXPECT_EQ(used.next_completion(), fresh.next_completion());
   EXPECT_EQ(advance(used, 4.0), advance(fresh, 4.0));
+}
+
+TEST(Fluid, RemaindersEqualOnlyAfterARoundedStepCompleteTogetherInStartOrder) {
+  // b = 1.5·2^40 and a = b + ulp(b) = b + 2^-12: apart, they complete 2^-12 s
+  // apart, far beyond the 1 ns tolerance.  A step of half an ulp is a tie
+  // in both subtractions, and round-half-to-even sends both to b.  The flow
+  // started first has the larger remainder, so it sits below the other one
+  // in the heap until the step makes them equal.
+  const Bytes b = 1.5 * std::ldexp(1.0, 40);
+  const Bytes a = std::nextafter(b, 2 * b);
+  const Seconds half_ulp = (a - b) / 2;
+  ASSERT_EQ(a - half_ulp, b - half_ulp);
+
+  FluidNetwork net(1.0, 0.0);
+  ReferenceFluid reference(1.0, 0.0);
+  const FlowId first = net.start_flow(a, 0.0);
+  const FlowId second = net.start_flow(b, 0.0);
+  (void)reference.start_flow(a, 0.0);
+  (void)reference.start_flow(b, 0.0);
+  EXPECT_TRUE(advance(net, half_ulp).empty());
+  std::vector<FlowId> expected;
+  reference.advance(half_ulp, expected);
+  EXPECT_TRUE(expected.empty());
+
+  const Seconds end = net.next_completion();
+  EXPECT_EQ(end, reference.next_completion());
+  EXPECT_EQ(advance(net, end), (std::vector<FlowId>{first, second}));
+  reference.advance(end, expected);
+  EXPECT_EQ(expected, (std::vector<FlowId>{first, second}));
+  EXPECT_EQ(net.completed_bytes(), reference.completed_bytes());
+  EXPECT_EQ(net.active_count(), 0u);
+}
+
+TEST(Fluid, AdvancingPastAPendingCompletionUnderContentionTrips) {
+  FluidNetwork net(100.0, 100.0);
+  (void)net.start_flow(1000.0, 0.0);
+  (void)net.start_flow(500.0, 0.0);
+  // Both at rate 50: the 500-byte flow completes at t=10.
+  ASSERT_EQ(net.next_completion(), 10.0);
+  EXPECT_THROW((void)advance(net, 11.0), InternalError);
+  EXPECT_THROW((void)net.start_flow(1.0, 11.0), InternalError);
+  // Without an aggregate the rate does not depend on the flow count, so
+  // collecting a completion late is allowed.
+  FluidNetwork free(100.0, 0.0);
+  (void)free.start_flow(2000.0, 0.0);
+  (void)free.start_flow(500.0, 0.0);
+  EXPECT_EQ(advance(free, 11.0).size(), 1u);
+}
+
+/// Drives FluidNetwork and ReferenceFluid with the same seeded sequence of
+/// starts, advances and resets and requires every observable to agree
+/// exactly.  Sizes come from a small set, so ties and zero-byte flows are
+/// common; advances go to the next completion or to some earlier time.
+void expect_matches_reference(BytesPerSec bw, BytesPerSec aggregate, std::uint64_t seed) {
+  static constexpr std::array<Bytes, 7> sizes{0.0, 1.0, 1.0 / 3, 2.5, 100.0, 100.0, 1e6 / 7};
+  Rng rng(seed);
+  FluidNetwork net(bw, aggregate);
+  ReferenceFluid reference(bw, aggregate);
+  std::vector<FlowId> done;
+  std::vector<FlowId> expected;
+  Seconds now = 0;
+  for (int op = 0; op < 400; ++op) {
+    const std::uint64_t kind = rng.below(15);
+    const Seconds next = reference.next_completion();
+    const Seconds horizon = std::isinf(next) ? now + 10 : next;
+    if (kind < 7) {
+      // Start now or at a later time not past the next completion.
+      if (rng.below(2) == 0) now += rng.uniform() * (horizon - now);
+      const Bytes bytes = sizes[rng.below(sizes.size())];
+      ASSERT_EQ(net.start_flow(bytes, now), reference.start_flow(bytes, now)) << "op " << op;
+    } else if (kind < 14) {
+      if (kind < 11) now = horizon; else now += rng.uniform() * (horizon - now);
+      net.advance(now, done);
+      reference.advance(now, expected);
+      ASSERT_EQ(done, expected) << "op " << op << " at t=" << now;
+    } else {
+      net.reset();
+      reference.reset();
+      now = 0;
+    }
+    ASSERT_EQ(net.next_completion(), reference.next_completion()) << "op " << op;
+    ASSERT_EQ(net.completed_bytes(), reference.completed_bytes()) << "op " << op;
+    ASSERT_EQ(net.active_count(), reference.active_count()) << "op " << op;
+    ASSERT_EQ(net.current_rate(), reference.current_rate()) << "op " << op;
+    ASSERT_EQ(net.peak_active(), reference.peak_active()) << "op " << op;
+  }
+}
+
+TEST(Fluid, HeapMatchesLinearScanBitForBit) {
+  const BytesPerSec bw = 7.0;
+  for (const BytesPerSec aggregate : {0.0, bw, 2 * bw, 4 * bw}) {
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      SCOPED_TRACE(testing::Message() << "aggregate " << aggregate << ", seed " << seed);
+      expect_matches_reference(bw, aggregate, seed);
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 TEST(Fluid, InvalidConstructionRejected) {
