@@ -42,6 +42,13 @@ void expect_results_identical(const EvalResult& a, const EvalResult& b) {
   EXPECT_EQ(a.recovery_cost_mean, b.recovery_cost_mean);
   EXPECT_EQ(a.wasted_compute_mean, b.wasted_compute_mean);
   EXPECT_EQ(a.schedule_seconds, b.schedule_seconds);
+  EXPECT_EQ(a.queue_wait_p50, b.queue_wait_p50);
+  EXPECT_EQ(a.queue_wait_p95, b.queue_wait_p95);
+  EXPECT_EQ(a.queue_wait_p99, b.queue_wait_p99);
+  EXPECT_EQ(a.vm_util_mean, b.vm_util_mean);
+  EXPECT_EQ(a.transfer_retries_mean, b.transfer_retries_mean);
+  EXPECT_EQ(a.budget_headroom_mean, b.budget_headroom_mean);
+  EXPECT_EQ(a.sim_events_per_sec, b.sim_events_per_sec);
 }
 
 /// Campaign aggregate equality, excluding sched_time (wall-clock noise for
@@ -117,6 +124,51 @@ TEST_F(CheckpointTest, EvalResultJsonRoundTripIsExact) {
   // goes through, including shortest-round-trip double formatting.
   const Json reparsed = Json::parse(eval_result_to_json(original).dump());
   expect_results_identical(original, eval_result_from_json(reparsed));
+}
+
+TEST_F(CheckpointTest, EvalResultJsonIsPinned) {
+  // Journal lines are a byte format: key order and the "obs" block must not
+  // move, or journals written by one build stop matching another's.
+  EvalResult r;
+  r.algorithm = "heft-budg";
+  r.budget = 2.5;
+  r.status = RunStatus::ok;
+  r.error_kind = ErrorKind::none;
+  r.error_message = "msg";
+  r.predicted_makespan = 1.5;
+  r.predicted_cost = 2.25;
+  r.predicted_feasible = true;
+  r.used_vms = 7;
+  r.makespan = Summary({10, 20});
+  r.cost = Summary({1, 3});
+  r.valid_fraction = 0.75;
+  r.deadline_fraction = 0.625;
+  r.objective_fraction = 0.5;
+  r.success_fraction = 0.375;
+  r.crashes_mean = 3.5;
+  r.failed_tasks_mean = 4.5;
+  r.recovery_cost_mean = 5.5;
+  r.wasted_compute_mean = 6.5;
+  r.schedule_seconds = 0.125;
+  r.queue_wait_p50 = 7.5;
+  r.queue_wait_p95 = 8.5;
+  r.queue_wait_p99 = 9.5;
+  r.vm_util_mean = 0.0625;
+  r.transfer_retries_mean = 11.5;
+  r.budget_headroom_mean = 0.25;
+  r.sim_events_per_sec = 1e6;
+  const std::string dump = eval_result_to_json(r).dump();
+  EXPECT_EQ(dump,
+            R"({"algorithm":"heft-budg","budget":2.5,"status":"ok","error_kind":"none",)"
+            R"("error_message":"msg","predicted_makespan":1.5,"predicted_cost":2.25,)"
+            R"("predicted_feasible":true,"used_vms":7,"makespan":[10,20],"cost":[1,3],)"
+            R"("valid_fraction":0.75,"deadline_fraction":0.625,"objective_fraction":0.5,)"
+            R"("success_fraction":0.375,"crashes_mean":3.5,"failed_tasks_mean":4.5,)"
+            R"("recovery_cost_mean":5.5,"wasted_compute_mean":6.5,"schedule_seconds":0.125,)"
+            R"("obs":{"queue_wait_p50":7.5,"queue_wait_p95":8.5,"queue_wait_p99":9.5,)"
+            R"("vm_util_mean":0.0625,"transfer_retries_mean":11.5,)"
+            R"("budget_headroom_mean":0.25,"sim_events_per_sec":1000000}})");
+  expect_results_identical(r, eval_result_from_json(Json::parse(dump)));
 }
 
 TEST_F(CheckpointTest, DegradedResultRoundTrips) {
@@ -225,6 +277,57 @@ TEST_F(CheckpointTest, GarbageLinesAreSkipped) {
   CheckpointJournal journal(journal_path(), /*resume=*/true);
   EXPECT_EQ(journal.cached(), 0u);
   EXPECT_EQ(journal.skipped_lines(), 2u);
+}
+
+TEST_F(CheckpointTest, JournalLinesOfOlderBuildsLoadOrSkip) {
+  const std::string head =
+      R"({"fp":"FP","result":{"algorithm":"heft","budget":2,"status":"ok","error_kind":"none",)"
+      R"("error_message":"","predicted_makespan":10,"predicted_cost":1.5,)"
+      R"("predicted_feasible":true,"used_vms":3,"makespan":[11,12],"cost":[1.25,1.75],)"
+      R"("valid_fraction":1,"deadline_fraction":1,"objective_fraction":1,)"
+      R"("success_fraction":1,"crashes_mean":0,"failed_tasks_mean":0,)"
+      R"("recovery_cost_mean":0,"wasted_compute_mean":0,"schedule_seconds":0.5)";
+  const auto line = [&](const std::string& fp, const std::string& tail) {
+    std::string text = head;
+    text.replace(text.find("FP"), 2, fp);
+    return text + tail + "}}\n";
+  };
+  // Builds before the observability aggregates wrote no "obs" block: the
+  // line loads with every aggregate 0.  A block that lacks a key is corrupt:
+  // the line is skipped and its cell recomputed.
+  std::ofstream(journal_path())
+      << line("no-obs", "")
+      << line("short-obs",
+              R"(,"obs":{"queue_wait_p50":1,"queue_wait_p95":2,"queue_wait_p99":3,)"
+              R"("vm_util_mean":0.5,"transfer_retries_mean":0,"budget_headroom_mean":0.25})");
+  CheckpointJournal journal(journal_path(), /*resume=*/true);
+  EXPECT_EQ(journal.cached(), 1u);
+  EXPECT_EQ(journal.skipped_lines(), 1u);
+  EXPECT_EQ(journal.find("short-obs"), nullptr);
+  const EvalResult* old = journal.find("no-obs");
+  ASSERT_NE(old, nullptr);
+  EXPECT_EQ(old->used_vms, 3u);
+  EXPECT_EQ(old->makespan.values(), (std::vector<double>{11, 12}));
+  EXPECT_EQ(old->schedule_seconds, 0.5);
+  EXPECT_EQ(old->queue_wait_p50, 0.0);
+  EXPECT_EQ(old->queue_wait_p95, 0.0);
+  EXPECT_EQ(old->queue_wait_p99, 0.0);
+  EXPECT_EQ(old->vm_util_mean, 0.0);
+  EXPECT_EQ(old->transfer_retries_mean, 0.0);
+  EXPECT_EQ(old->budget_headroom_mean, 0.0);
+  EXPECT_EQ(old->sim_events_per_sec, 0.0);
+}
+
+TEST_F(CheckpointTest, CampaignJournalPathIsPinned) {
+  // The file name embeds the configuration hash: a build that named it
+  // differently would silently start over instead of resuming.
+  CampaignConfig config = small_campaign();
+  config.instances = 1;
+  config.budget_points = 2;
+  config.repetitions = 1;
+  config.checkpoint_dir = (dir_ / "ckpt").string();
+  const CampaignResult result = run_campaign(platform::paper_platform(), config);
+  EXPECT_EQ(fs::path(result.journal_path).filename().string(), "campaign-montage-13e7e6c092e9956b.jsonl");
 }
 
 TEST_F(CheckpointTest, CampaignWithCheckpointMatchesPlainRun) {

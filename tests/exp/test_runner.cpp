@@ -144,6 +144,89 @@ TEST(Runner, CsvRoundTripsThroughParser) {
   }
 }
 
+/// A result with a distinct value in every field, so a swapped, dropped or
+/// re-formatted column shows up in an exact comparison.
+EvalResult distinct_result(RunStatus status) {
+  EvalResult r;
+  r.algorithm = "heft-budg";
+  r.budget = 100000;
+  r.status = status;
+  r.error_kind = status == RunStatus::ok ? ErrorKind::none : ErrorKind::invalid_argument;
+  r.error_message = status == RunStatus::ok ? "" : "bad, \"quoted\" input";
+  r.predicted_makespan = 1.5;
+  r.predicted_cost = 2.25;
+  r.predicted_feasible = true;
+  r.used_vms = 100000;
+  r.makespan = Summary({10, 20, 40});
+  r.cost = Summary({1, 3, 4});
+  r.valid_fraction = 0.75;
+  r.deadline_fraction = 0.625;
+  r.objective_fraction = 0.5;
+  r.success_fraction = 0.375;
+  r.crashes_mean = 3.5;
+  r.failed_tasks_mean = 4.5;
+  r.recovery_cost_mean = 5.5;
+  r.wasted_compute_mean = 6.5;
+  r.schedule_seconds = 0.125;
+  r.queue_wait_p50 = 7.5;
+  r.queue_wait_p95 = 8.5;
+  r.queue_wait_p99 = 9.5;
+  r.vm_util_mean = 0.0625;
+  r.transfer_retries_mean = 11.5;
+  r.budget_headroom_mean = 0.25;
+  r.sim_events_per_sec = 1e6;
+  return r;
+}
+
+/// The results CSV as lines: the header, then one row per result.
+std::vector<std::string> csv_lines(const dag::Workflow& wf, std::vector<EvalResult> results) {
+  std::vector<RunRequest> requests(results.size());
+  for (RunRequest& request : requests) {
+    request.wf = &wf;
+    request.tag = "inst=0;b=1";
+  }
+  std::ostringstream os;
+  write_results_csv(os, requests, results);
+  std::vector<std::string> lines;
+  std::istringstream in(os.str());
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(Runner, CsvHeaderLineIsPinned) {
+  // plot scripts and positional consumers read these names; the first 27
+  // columns never move, the seven observability ones follow them.
+  const auto wf = pegasus::generate(pegasus::WorkflowType::montage, {15, 4, 0.5});
+  const auto lines = csv_lines(wf, {distinct_result(RunStatus::ok)});
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0],
+            "workflow,algorithm,budget,tag,status,error_kind,error_message,repetitions,"
+            "predicted_makespan,predicted_cost,predicted_feasible,used_vms,makespan_mean,"
+            "makespan_stddev,makespan_p95,cost_mean,cost_stddev,valid_fraction,"
+            "deadline_fraction,objective_fraction,success_fraction,budget_violation_fraction,"
+            "crashes_mean,failed_tasks_mean,recovery_cost_mean,wasted_compute_mean,"
+            "schedule_seconds,queue_wait_p50,queue_wait_p95,queue_wait_p99,vm_util_mean,"
+            "transfer_retries_mean,budget_headroom_mean,sim_events_per_sec");
+}
+
+TEST(Runner, CsvRowsArePinnedForOkAndDegradedCells) {
+  // Integer columns print as integers (100000, not 1e+05); a degraded cell
+  // shows nan exactly where its value would be meaningless.
+  const auto wf = pegasus::generate(pegasus::WorkflowType::montage, {15, 4, 0.5});
+  const auto lines = csv_lines(
+      wf, {distinct_result(RunStatus::ok), distinct_result(RunStatus::errored)});
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[1],
+            "montage-n15-s4,heft-budg,1e+05,inst=0;b=1,ok,none,,3,1.5,2.25,1,100000,"
+            "23.333333333333332,15.275252316519467,38,2.6666666666666665,1.5275252316519465,"
+            "0.75,0.625,0.5,0.375,0.25,3.5,4.5,5.5,6.5,0.125,7.5,8.5,9.5,0.0625,11.5,0.25,"
+            "1e+06");
+  EXPECT_EQ(lines[2],
+            "montage-n15-s4,heft-budg,1e+05,inst=0;b=1,errored,invalid_argument,"
+            "\"bad, \"\"quoted\"\" input\",3,nan,nan,1,100000,nan,nan,nan,nan,nan,0.75,0.625,"
+            "0.5,0.375,0.25,3.5,4.5,5.5,6.5,0.125,nan,nan,nan,nan,nan,nan,nan");
+}
+
 TEST(Runner, ThrowingAlgorithmBecomesErroredCellMidMatrix) {
   // The robustness regression: one bad algorithm name in the middle of a
   // parallel matrix must degrade exactly its own cell, not tear down the
