@@ -5,7 +5,8 @@ Usage:
     plot_results.py results.csv [-o figure.png] [--metric makespan_mean]
 
 One line per algorithm, budget on the x axis, the chosen metric on the y
-axis with +-stddev error bars when available.  Requires matplotlib.
+axis with +-stddev error bars when available.  The metric is any numeric
+column of the CSV.  Requires matplotlib.
 """
 
 import argparse
@@ -19,25 +20,30 @@ def load_rows(path):
         return list(csv.DictReader(handle))
 
 
+def is_number(text):
+    try:
+        float(text)
+    except (TypeError, ValueError):  # a short row reads as None
+        return False
+    return True
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("csv", help="raw results CSV from exp::write_results_csv")
     parser.add_argument("-o", "--output", default=None, help="output image (default: show)")
-    parser.add_argument(
-        "--metric",
-        default="makespan_mean",
-        choices=[
-            "makespan_mean",
-            "makespan_p95",
-            "cost_mean",
-            "valid_fraction",
-            "objective_fraction",
-            "used_vms",
-            "schedule_seconds",
-        ],
-    )
+    parser.add_argument("--metric", default="makespan_mean",
+                        help="numeric CSV column to plot (default: makespan_mean)")
     parser.add_argument("--logy", action="store_true", help="logarithmic y axis")
     args = parser.parse_args()
+
+    rows = load_rows(args.csv)
+    if not rows:
+        sys.exit("plot_results.py: empty CSV")
+    numeric = [name for name in rows[0] if all(is_number(row[name]) for row in rows)]
+    if args.metric not in numeric:
+        sys.exit(f"plot_results.py: no numeric column '{args.metric}'; "
+                 f"numeric columns: {', '.join(numeric)}")
 
     try:
         import matplotlib
@@ -47,10 +53,6 @@ def main():
         import matplotlib.pyplot as plt
     except ImportError:
         sys.exit("plot_results.py: matplotlib is required (pip install matplotlib)")
-
-    rows = load_rows(args.csv)
-    if not rows:
-        sys.exit("plot_results.py: empty CSV")
 
     stddev_column = {"makespan_mean": "makespan_stddev", "cost_mean": "cost_stddev"}.get(
         args.metric

@@ -11,6 +11,7 @@
 #include "common/table.hpp"
 #include "dag/stochastic.hpp"
 #include "exp/checkpoint.hpp"
+#include "exp/result_fields.hpp"
 #include "exp/runner.hpp"
 
 namespace cloudwf::exp {
@@ -50,13 +51,6 @@ std::uint64_t campaign_config_hash(const CampaignConfig& config) {
     mix(0x1F);  // separator: {"a","bc"} != {"ab","c"}
   }
   return hash;
-}
-
-std::string hash_hex(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i, v >>= 4) out[static_cast<std::size_t>(i)] = digits[v & 0xF];
-  return out;
 }
 
 }  // namespace
@@ -149,7 +143,7 @@ CampaignResult run_campaign(const platform::Platform& platform, const CampaignCo
     const std::filesystem::path path =
         std::filesystem::path(config.checkpoint_dir) /
         ("campaign-" + std::string(pegasus::to_string(config.type)) + "-" +
-         hash_hex(policy.fingerprint_salt) + ".jsonl");
+         hex64(policy.fingerprint_salt) + ".jsonl");
     journal = std::make_unique<CheckpointJournal>(path.string(), config.resume);
     policy.journal = journal.get();
     result.journal_path = path.string();
@@ -180,15 +174,12 @@ CampaignResult run_campaign(const platform::Platform& platform, const CampaignCo
           }
           continue;
         }
-        cell.makespan.add(point.makespan.mean());
-        cell.cost.add(point.cost.mean());
-        cell.used_vms.add(static_cast<double>(point.used_vms));
-        cell.valid.add(point.valid_fraction);
-        cell.sched_time.add(point.schedule_seconds);
-        cell.queue_wait_p95.add(point.queue_wait_p95);
-        cell.vm_util.add(point.vm_util_mean);
-        cell.transfer_retries.add(point.transfer_retries_mean);
-        cell.budget_headroom.add(point.budget_headroom_mean);
+        for (const ResultField& field : result_fields)
+          if (field.cell != nullptr)
+            visit_field(field, requests[index], point, [&](const auto& value) {
+              if constexpr (std::is_arithmetic_v<std::remove_cvref_t<decltype(value)>>)
+                (cell.*field.cell).add(static_cast<double>(value));
+            });
       }
     }
   }
@@ -206,18 +197,11 @@ CampaignResult run_campaign(const platform::Platform& platform, const CampaignCo
 
 void print_campaign_table(std::ostream& out, const CampaignResult& result,
                           const std::string& metric, const std::string& title) {
-  const auto pick = [&](const CampaignCell& cell) -> const Accumulator& {
-    if (metric == "makespan") return cell.makespan;
-    if (metric == "cost") return cell.cost;
-    if (metric == "vms") return cell.used_vms;
-    if (metric == "valid") return cell.valid;
-    if (metric == "sched_time") return cell.sched_time;
-    if (metric == "queue_wait_p95") return cell.queue_wait_p95;
-    if (metric == "util") return cell.vm_util;
-    if (metric == "retries") return cell.transfer_retries;
-    if (metric == "headroom") return cell.budget_headroom;
+  const auto row = std::ranges::find_if(result_fields, [&](const ResultField& field) {
+    return field.cell != nullptr && field.metric == metric;
+  });
+  if (row == std::end(result_fields))
     throw InvalidArgument("print_campaign_table: unknown metric '" + metric + "'");
-  };
 
   TablePrinter table(title);
   std::vector<std::string> columns{"budget($)"};
@@ -229,14 +213,13 @@ void print_campaign_table(std::ostream& out, const CampaignResult& result,
     std::vector<std::string> cells{TablePrinter::num(result.mean_budgets[b], 4)};
     for (std::size_t a = 0; a < result.config.algorithms.size(); ++a) {
       const CampaignCell& cell = result.cells[a][b];
-      const Accumulator& acc = pick(cell);
-      const int precision = metric == "cost" ? 4 : 2;
+      const Accumulator& acc = cell.*row->cell;
       // A degraded instance leaves the cell with fewer (possibly zero)
       // observations; mark it so the table never silently averages less
       // data than the clean cells.
       std::string text = acc.count() == 0
                              ? std::string("n/a")
-                             : TablePrinter::pm(acc.mean(), acc.stddev(), precision);
+                             : TablePrinter::pm(acc.mean(), acc.stddev(), row->precision);
       if (cell.degraded() > 0) text += " [-" + std::to_string(cell.degraded()) + "]";
       cells.push_back(std::move(text));
     }
@@ -246,7 +229,7 @@ void print_campaign_table(std::ostream& out, const CampaignResult& result,
   if (result.timed_out_cells + result.errored_cells > 0)
     out << "degraded cells excluded from aggregates: " << result.timed_out_cells
         << " timed_out, " << result.errored_cells << " errored\n";
-  if (metric == "makespan")
+  if (row->cell == &CampaignCell::makespan)
     out << "min_cost reference (all tasks on one cheapest VM): $"
         << TablePrinter::num(result.min_cost.mean(), 4) << "\n";
   out << '\n';

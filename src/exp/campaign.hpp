@@ -65,10 +65,12 @@ struct CampaignConfig {
   void apply_quick_mode();
 };
 
-/// Cross-instance aggregate of one (algorithm, budget-index) cell.
-/// Degraded per-instance results (watchdog timeouts, evaluation errors)
-/// are excluded from the accumulators and counted instead, so a single
-/// bad instance degrades one cell rather than aborting the campaign.
+/// Cross-instance aggregate of one (algorithm, budget-index) cell.  Each
+/// accumulator collects the result field that names it in
+/// exp::result_fields.  Degraded per-instance results (watchdog timeouts,
+/// evaluation errors) are excluded from the accumulators and counted
+/// instead, so a single bad instance degrades one cell rather than aborting
+/// the campaign.
 struct CampaignCell {
   Accumulator makespan;   ///< mean execution makespan per instance
   Accumulator cost;       ///< mean actual cost per instance
@@ -104,9 +106,9 @@ struct CampaignResult {
                                           const CampaignConfig& config);
 
 /// Renders one metric of the campaign as an aligned table (one column per
-/// algorithm, one row per budget).  \p metric is "makespan", "cost",
-/// "vms", "valid", "sched_time", "queue_wait_p95", "util", "retries" or
-/// "headroom".
+/// algorithm, one row per budget).  \p metric is the campaign metric name
+/// of a row of exp::result_fields (result_fields.hpp), such as "makespan" or
+/// "util"; an unknown name throws InvalidArgument.
 void print_campaign_table(std::ostream& out, const CampaignResult& result,
                           const std::string& metric, const std::string& title);
 

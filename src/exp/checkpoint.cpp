@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "exp/result_fields.hpp"
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -17,18 +18,35 @@ namespace cloudwf::exp {
 
 namespace {
 
-Json summary_to_json(const Summary& summary) {
-  Json::Array values;
-  values.reserve(summary.count());
-  for (const double v : summary.values()) values.emplace_back(v);
-  return {std::move(values)};
+/// The journal encoding of one stored field.
+template <class T>
+Json to_json(const T& value) {
+  if constexpr (std::is_enum_v<T>)
+    return std::string(to_string(value));
+  else if constexpr (std::is_same_v<T, Summary>)
+    return Json::Array(value.values().begin(), value.values().end());
+  else
+    return value;
 }
 
-Summary summary_from_json(const Json& json) {
-  std::vector<double> values;
-  values.reserve(json.as_array().size());
-  for (const Json& v : json.as_array()) values.push_back(v.as_number());
-  return Summary(std::move(values));
+/// Inverse of to_json into a default-constructed \p out; throws on a
+/// mistyped value.
+template <class T>
+void from_json(const Json& json, std::string_view name, T& out) {
+  if constexpr (std::is_same_v<T, RunStatus>)
+    out = parse_run_status(json.as_string());
+  else if constexpr (std::is_same_v<T, ErrorKind>)
+    out = parse_error_kind(json.as_string());
+  else if constexpr (std::is_same_v<T, std::string>)
+    out = json.as_string();
+  else if constexpr (std::is_same_v<T, bool>)
+    out = json.as_bool();
+  else if constexpr (std::is_same_v<T, std::size_t>)
+    out = json_unsigned<std::size_t>(json.as_number(), "journal: " + std::string(name));
+  else if constexpr (std::is_same_v<T, double>)
+    out = json.as_number();
+  else
+    for (const Json& v : json.as_array()) out.add(v.as_number());
 }
 
 /// FNV-1a 64-bit, fed field-by-field with a separator so adjacent fields
@@ -53,6 +71,8 @@ class Fnv1a {
   std::uint64_t hash_ = 0xCBF29CE484222325ULL;
 };
 
+}  // namespace
+
 std::string hex64(std::uint64_t v) {
   static const char* digits = "0123456789abcdef";
   std::string out(16, '0');
@@ -60,74 +80,38 @@ std::string hex64(std::uint64_t v) {
   return out;
 }
 
-}  // namespace
-
 Json eval_result_to_json(const EvalResult& r) {
-  Json::Object o;
-  o["algorithm"] = r.algorithm;
-  o["budget"] = r.budget;
-  o["status"] = std::string(to_string(r.status));
-  o["error_kind"] = std::string(to_string(r.error_kind));
-  o["error_message"] = r.error_message;
-  o["predicted_makespan"] = r.predicted_makespan;
-  o["predicted_cost"] = r.predicted_cost;
-  o["predicted_feasible"] = r.predicted_feasible;
-  o["used_vms"] = r.used_vms;
-  o["makespan"] = summary_to_json(r.makespan);
-  o["cost"] = summary_to_json(r.cost);
-  o["valid_fraction"] = r.valid_fraction;
-  o["deadline_fraction"] = r.deadline_fraction;
-  o["objective_fraction"] = r.objective_fraction;
-  o["success_fraction"] = r.success_fraction;
-  o["crashes_mean"] = r.crashes_mean;
-  o["failed_tasks_mean"] = r.failed_tasks_mean;
-  o["recovery_cost_mean"] = r.recovery_cost_mean;
-  o["wasted_compute_mean"] = r.wasted_compute_mean;
-  o["schedule_seconds"] = r.schedule_seconds;
+  Json::Object top;
   Json::Object obs;
-  obs["queue_wait_p50"] = r.queue_wait_p50;
-  obs["queue_wait_p95"] = r.queue_wait_p95;
-  obs["queue_wait_p99"] = r.queue_wait_p99;
-  obs["vm_util_mean"] = r.vm_util_mean;
-  obs["transfer_retries_mean"] = r.transfer_retries_mean;
-  obs["budget_headroom_mean"] = r.budget_headroom_mean;
-  obs["sim_events_per_sec"] = r.sim_events_per_sec;
-  o["obs"] = Json(std::move(obs));
-  return {std::move(o)};
+  for (const ResultField& field : result_fields) {
+    if (field.journal == Journal::none) continue;
+    Json& slot = (field.journal == Journal::top ? top : obs)[std::string(field.name)];
+    std::visit(
+        [&](auto access) {
+          if constexpr (std::is_member_object_pointer_v<decltype(access)>)
+            slot = to_json(r.*access);
+        },
+        field.access);
+  }
+  top["obs"] = Json(std::move(obs));
+  return {std::move(top)};
 }
 
 EvalResult eval_result_from_json(const Json& json) {
   EvalResult r;
-  r.algorithm = json.at("algorithm").as_string();
-  r.budget = json.at("budget").as_number();
-  r.status = parse_run_status(json.at("status").as_string());
-  r.error_kind = parse_error_kind(json.at("error_kind").as_string());
-  r.error_message = json.at("error_message").as_string();
-  r.predicted_makespan = json.at("predicted_makespan").as_number();
-  r.predicted_cost = json.at("predicted_cost").as_number();
-  r.predicted_feasible = json.at("predicted_feasible").as_bool();
-  r.used_vms = json_unsigned<std::size_t>(json.at("used_vms").as_number(), "journal: used_vms");
-  r.makespan = summary_from_json(json.at("makespan"));
-  r.cost = summary_from_json(json.at("cost"));
-  r.valid_fraction = json.at("valid_fraction").as_number();
-  r.deadline_fraction = json.at("deadline_fraction").as_number();
-  r.objective_fraction = json.at("objective_fraction").as_number();
-  r.success_fraction = json.at("success_fraction").as_number();
-  r.crashes_mean = json.at("crashes_mean").as_number();
-  r.failed_tasks_mean = json.at("failed_tasks_mean").as_number();
-  r.recovery_cost_mean = json.at("recovery_cost_mean").as_number();
-  r.wasted_compute_mean = json.at("wasted_compute_mean").as_number();
-  r.schedule_seconds = json.at("schedule_seconds").as_number();
   // Observability aggregates arrived after the journal format shipped;
   // journals written by older builds simply lack the block (fields stay 0).
-  if (const Json* obs = json.as_object().find("obs")) {
-    r.queue_wait_p50 = obs->at("queue_wait_p50").as_number();
-    r.queue_wait_p95 = obs->at("queue_wait_p95").as_number();
-    r.queue_wait_p99 = obs->at("queue_wait_p99").as_number();
-    r.vm_util_mean = obs->at("vm_util_mean").as_number();
-    r.transfer_retries_mean = obs->at("transfer_retries_mean").as_number();
-    r.budget_headroom_mean = obs->at("budget_headroom_mean").as_number();
-    r.sim_events_per_sec = obs->at("sim_events_per_sec").as_number();
+  const Json* obs = json.as_object().find("obs");
+  for (const ResultField& field : result_fields) {
+    if (field.journal == Journal::none || (field.journal == Journal::obs && obs == nullptr))
+      continue;
+    const Json& value = (field.journal == Journal::top ? json : *obs).at(field.name);
+    std::visit(
+        [&](auto access) {
+          if constexpr (std::is_member_object_pointer_v<decltype(access)>)
+            from_json(value, field.name, r.*access);
+        },
+        field.access);
   }
   return r;
 }

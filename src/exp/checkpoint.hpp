@@ -42,6 +42,10 @@ namespace cloudwf::exp {
 [[nodiscard]] std::string fingerprint_request(const RunRequest& request,
                                               std::uint64_t salt = 0);
 
+/// \p v as 16 lower-case hex digits: request fingerprints and the config
+/// hash in campaign journal file names.
+[[nodiscard]] std::string hex64(std::uint64_t v);
+
 /// Append-only JSONL journal of completed cells.
 ///
 /// Thread-safe: record() serializes appends behind a mutex and fsyncs each

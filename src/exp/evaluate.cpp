@@ -113,23 +113,11 @@ EvalResult evaluate_schedule_until(const dag::Workflow& wf,
     recovery_cost += run.faults.recovery_cost;
     wasted += run.faults.wasted_compute;
 
-    for (dag::TaskId t = 0; t < run.tasks.size(); ++t) {
-      const sim::TaskRecord& record = run.tasks[t];
-      if (record.failed || record.vm == sim::invalid_vm || record.vm >= run.vms.size())
-        continue;
-      const Seconds ready = std::max(record.inputs_at_dc, run.vms[record.vm].boot_done);
-      queue_waits.add(std::max(0.0, record.start - ready));
-    }
-    Seconds busy_total = 0;
-    Seconds billed_total = 0;
-    for (const sim::VmRecord& vm : run.vms) {
-      if (vm.task_count == 0 && !vm.crashed && !vm.recovery) continue;
-      busy_total += vm.busy;
-      billed_total += vm.end - vm.boot_done;
-    }
-    if (billed_total > 0) util_sum += busy_total / billed_total;
+    const sim::RunMetrics derived = sim::derive_run_metrics(
+        run, budget, [&](Seconds wait) { queue_waits.add(wait); }, [](const sim::VmRecord&) {});
+    util_sum += derived.utilization;
+    headroom_sum += derived.budget_headroom;
     transfer_retries += run.faults.transfer_failures;
-    if (budget > 0) headroom_sum += (budget - run.total_cost()) / budget;
     events_total += run.events_processed;
     if (config.metrics != nullptr)
       sim::record_run_metrics(*config.metrics, run, budget);

@@ -127,11 +127,12 @@ struct EvalResult {
 
   // Observability aggregates, pooled over all repetitions.  Cheap to keep
   // (derived from records the simulator produces anyway), so they are always
-  // populated on ok cells.
-  Seconds queue_wait_p50 = 0;  ///< median task queue wait (ready -> start)
+  // populated on ok cells.  Queue wait, utilization and headroom follow the
+  // definitions of sim::derive_run_metrics.
+  Seconds queue_wait_p50 = 0;  ///< median task queue wait over all repetitions
   Seconds queue_wait_p95 = 0;
   Seconds queue_wait_p99 = 0;
-  double vm_util_mean = 0;        ///< mean busy/billed fraction across reps
+  double vm_util_mean = 0;        ///< pooled utilization, mean over repetitions
   double transfer_retries_mean = 0;  ///< transfer retries per repetition
   /// Mean relative budget slack (budget - cost) / budget; 0 when no budget.
   double budget_headroom_mean = 0;

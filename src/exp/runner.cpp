@@ -11,6 +11,7 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "exp/checkpoint.hpp"
+#include "exp/result_fields.hpp"
 #include "sched/plan.hpp"
 
 namespace cloudwf::exp {
@@ -164,57 +165,28 @@ std::vector<EvalResult> run_serial(const platform::Platform& platform,
 void write_results_csv(std::ostream& out, std::span<const RunRequest> requests,
                        std::span<const EvalResult> results) {
   require(requests.size() == results.size(), "write_results_csv: size mismatch");
-  const double nan = std::numeric_limits<double>::quiet_NaN();
   CsvWriter csv(out);
-  csv.header({"workflow", "algorithm", "budget", "tag", "status", "error_kind",
-              "error_message", "repetitions", "predicted_makespan", "predicted_cost",
-              "predicted_feasible", "used_vms", "makespan_mean", "makespan_stddev",
-              "makespan_p95", "cost_mean", "cost_stddev", "valid_fraction",
-              "deadline_fraction", "objective_fraction", "success_fraction",
-              "budget_violation_fraction", "crashes_mean", "failed_tasks_mean",
-              "recovery_cost_mean", "wasted_compute_mean", "schedule_seconds",
-              // Observability aggregates — appended after the original 27
-              // columns so positional consumers keep working.
-              "queue_wait_p50", "queue_wait_p95", "queue_wait_p99", "vm_util_mean",
-              "transfer_retries_mean", "budget_headroom_mean", "sim_events_per_sec"});
+  std::vector<std::string> header;
+  for (const ResultField& field : result_fields)
+    if (field.csv_column != no_column) header.emplace_back(field.name);
+  csv.header(header);
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const RunRequest& request = requests[i];
-    const EvalResult& r = results[i];
-    const bool ok = r.ok();
-    csv.field(request.wf->name())
-        .field(r.algorithm)
-        .field(r.budget)
-        .field(request.tag)
-        .field(to_string(r.status))
-        .field(to_string(r.error_kind))
-        .field(r.error_message)
-        .field(r.makespan.count())
-        .field(ok ? r.predicted_makespan : nan)
-        .field(ok ? r.predicted_cost : nan)
-        .field(r.predicted_feasible ? 1 : 0)
-        .field(r.used_vms)
-        .field(ok ? r.makespan.mean() : nan)
-        .field(ok ? r.makespan.stddev() : nan)
-        .field(ok ? r.makespan.quantile(0.95) : nan)
-        .field(ok ? r.cost.mean() : nan)
-        .field(ok ? r.cost.stddev() : nan)
-        .field(r.valid_fraction)
-        .field(r.deadline_fraction)
-        .field(r.objective_fraction)
-        .field(r.success_fraction)
-        .field(1.0 - r.valid_fraction)
-        .field(r.crashes_mean)
-        .field(r.failed_tasks_mean)
-        .field(r.recovery_cost_mean)
-        .field(r.wasted_compute_mean)
-        .field(r.schedule_seconds)
-        .field(ok ? r.queue_wait_p50 : nan)
-        .field(ok ? r.queue_wait_p95 : nan)
-        .field(ok ? r.queue_wait_p99 : nan)
-        .field(ok ? r.vm_util_mean : nan)
-        .field(ok ? r.transfer_retries_mean : nan)
-        .field(ok ? r.budget_headroom_mean : nan)
-        .field(ok ? r.sim_events_per_sec : nan);
+    for (const ResultField& field : result_fields) {
+      if (field.csv_column == no_column) continue;
+      if (field.degraded == Degraded::nan && !results[i].ok()) {
+        csv.field(std::numeric_limits<double>::quiet_NaN());
+        continue;
+      }
+      visit_field(field, requests[i], results[i], [&](const auto& value) {
+        using T = std::remove_cvref_t<decltype(value)>;
+        if constexpr (std::is_enum_v<T>)
+          csv.field(to_string(value));
+        else if constexpr (std::is_same_v<T, bool>)
+          csv.field(value ? 1 : 0);
+        else if constexpr (!std::is_same_v<T, Summary>)
+          csv.field(value);
+      });
+    }
     csv.end_row();
   }
 }

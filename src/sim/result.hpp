@@ -3,6 +3,7 @@
 /// \file result.hpp
 /// \brief Outputs of one simulated workflow execution.
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -51,7 +52,8 @@ struct VmRecord {
 /// Busy fraction of a VM's billed interval, hardened against degenerate
 /// windows: a VM whose busy window is empty (end == boot_done, e.g. a
 /// recovery VM that never ran anything) or whose record carries non-finite
-/// values reports 0.0 instead of NaN/inf.
+/// values reports 0.0 instead of NaN/inf.  This is the per-VM definition;
+/// derive_run_metrics defines the pooled one.
 [[nodiscard]] inline double vm_utilization(const VmRecord& record) {
   const Seconds billed = record.end - record.boot_done;
   if (!(billed > 0)) return 0.0;
@@ -86,5 +88,43 @@ struct SimResult {
   /// True when every task completed and every external output was delivered.
   [[nodiscard]] bool success() const { return faults.failed_tasks == 0; }
 };
+
+/// Pooled utilization and budget headroom of one run (derive_run_metrics).
+struct RunMetrics {
+  double utilization = 0;
+  double budget_headroom = 0;
+};
+
+/// The one derivation behind exp::evaluate's observability aggregates and
+/// record_run_metrics.  Definitions:
+/// - a task's queue wait is its start minus the later of "inputs at the DC"
+///   and "VM up", at least 0; failed tasks never started and have none;
+/// - a VM is used when it ran a task, crashed or was provisioned by recovery;
+/// - pooled utilization is the used VMs' summed busy time over their summed
+///   billed time [boot_done, end], 0 when nothing was billed (the per-VM
+///   ratio, vm_utilization(), is the other definition);
+/// - budget headroom is (budget - cost) / budget, 0 when \p budget <= 0.
+/// Calls \p on_queue_wait(Seconds) per task with a wait, then
+/// \p on_used_vm(const VmRecord&) per used VM, in index order, summing in
+/// that order.  Allocates nothing.
+template <class OnQueueWait, class OnUsedVm>
+RunMetrics derive_run_metrics(const SimResult& run, Dollars budget, OnQueueWait&& on_queue_wait,
+                              OnUsedVm&& on_used_vm) {
+  for (const TaskRecord& record : run.tasks) {
+    if (record.failed || record.vm == invalid_vm || record.vm >= run.vms.size()) continue;
+    const Seconds ready = std::max(record.inputs_at_dc, run.vms[record.vm].boot_done);
+    on_queue_wait(std::max(0.0, record.start - ready));
+  }
+  Seconds busy = 0;
+  Seconds billed = 0;
+  for (const VmRecord& vm : run.vms) {
+    if (vm.task_count == 0 && !vm.crashed && !vm.recovery) continue;
+    on_used_vm(vm);
+    busy += vm.busy;
+    billed += vm.end - vm.boot_done;
+  }
+  return {.utilization = billed > 0 ? busy / billed : 0.0,
+          .budget_headroom = budget > 0 ? (budget - run.total_cost()) / budget : 0.0};
+}
 
 }  // namespace cloudwf::sim

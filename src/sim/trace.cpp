@@ -140,23 +140,12 @@ std::string result_summary_text(const SimResult& result) {
 
 void record_run_metrics(obs::MetricsRegistry& metrics, const SimResult& result,
                         Dollars budget) {
-  // Queue wait: how long each task sat ready on its VM before computing —
-  // start minus the later of "inputs at the DC" and "VM up".  Failed tasks
-  // never started, so they have no wait.
-  for (const TaskRecord& record : result.tasks) {
-    if (record.failed || record.vm == invalid_vm || record.vm >= result.vms.size()) continue;
-    const Seconds ready = std::max(record.inputs_at_dc, result.vms[record.vm].boot_done);
-    metrics.observe("queue_wait_seconds", std::max(0.0, record.start - ready));
-  }
+  const RunMetrics derived = derive_run_metrics(
+      result, budget, [&](Seconds wait) { metrics.observe("queue_wait_seconds", wait); },
+      [&](const VmRecord& vm) { metrics.observe("vm_utilization", vm_utilization(vm)); });
   std::size_t failed = 0;
   for (const TaskRecord& record : result.tasks)
     if (record.failed) ++failed;
-
-  for (VmId v = 0; v < result.vms.size(); ++v) {
-    const VmRecord& record = result.vms[v];
-    if (record.task_count == 0 && !record.crashed && !record.recovery) continue;
-    metrics.observe("vm_utilization", vm_utilization(record));
-  }
 
   metrics.count("tasks_completed", static_cast<double>(result.tasks.size() - failed));
   metrics.count("tasks_failed", static_cast<double>(failed));
@@ -169,8 +158,7 @@ void record_run_metrics(obs::MetricsRegistry& metrics, const SimResult& result,
   metrics.gauge("makespan_seconds", result.makespan);
   metrics.gauge("cost_dollars", result.total_cost());
   metrics.gauge("used_vms", static_cast<double>(result.used_vms));
-  if (budget > 0)
-    metrics.observe("budget_headroom", (budget - result.total_cost()) / budget);
+  if (budget > 0) metrics.observe("budget_headroom", derived.budget_headroom);
 }
 
 }  // namespace cloudwf::sim

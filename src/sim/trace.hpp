@@ -40,9 +40,10 @@ void save_result_summary_json(const SimResult& result, const std::string& path);
 [[nodiscard]] std::string result_summary_text(const SimResult& result);
 
 /// Records the run's quantitative story into an obs::MetricsRegistry:
-/// per-task queue-wait and per-VM utilization histograms, transfer/fault
-/// counters, and makespan / cost / budget-headroom gauges.  \p budget <= 0
-/// skips the headroom gauge (no budget to measure against).
+/// per-task queue-wait and per-used-VM vm_utilization() histograms,
+/// transfer/fault counters, makespan / cost gauges and a budget-headroom
+/// histogram, with derive_run_metrics' definitions.  \p budget <= 0 skips
+/// the headroom (no budget to measure against).
 void record_run_metrics(obs::MetricsRegistry& metrics, const SimResult& result, Dollars budget);
 
 }  // namespace cloudwf::sim

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/table.hpp"
 #include "exp/budget_levels.hpp"
 #include "exp/campaign.hpp"
 #include "exp/evaluate.hpp"
@@ -144,6 +145,37 @@ TEST(Campaign, PrintsAllMetrics) {
   }
   std::ostringstream os;
   EXPECT_THROW(print_campaign_table(os, result, "bogus", "t"), InvalidArgument);
+}
+
+TEST(Campaign, EachMetricNamesItsOwnAccumulator) {
+  // One hand-filled cell whose accumulators all differ: each metric's table
+  // must show its own accumulator, cost with four decimals, the rest two.
+  CampaignResult result;
+  result.config.algorithms = {"heft"};
+  result.mean_budgets = {1.0};
+  result.min_cost.add(0.5);
+  result.cells.assign(1, std::vector<CampaignCell>(1));
+  CampaignCell& cell = result.cells[0][0];
+  const std::pair<const char*, Accumulator*> metrics[] = {
+      {"makespan", &cell.makespan},
+      {"cost", &cell.cost},
+      {"vms", &cell.used_vms},
+      {"valid", &cell.valid},
+      {"sched_time", &cell.sched_time},
+      {"queue_wait_p95", &cell.queue_wait_p95},
+      {"util", &cell.vm_util},
+      {"retries", &cell.transfer_retries},
+      {"headroom", &cell.budget_headroom},
+  };
+  for (std::size_t i = 0; i < std::size(metrics); ++i) metrics[i].second->add(2.125 + i);
+  for (std::size_t i = 0; i < std::size(metrics); ++i) {
+    const char* name = metrics[i].first;
+    std::ostringstream os;
+    print_campaign_table(os, result, name, "t");
+    const int precision = std::string(name) == "cost" ? 4 : 2;
+    const std::string expected = "| " + TablePrinter::pm(2.125 + i, 0, precision) + " |";
+    EXPECT_NE(os.str().find(expected), std::string::npos) << name;
+  }
 }
 
 TEST(Campaign, ValidatesConfig) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/result.hpp"
 #include "sim/trace.hpp"
 
@@ -132,6 +134,63 @@ TEST(Metrics, RecordRunMetricsGuardsDegenerateVmWindows) {
   EXPECT_DOUBLE_EQ(metrics.gauge_value("makespan_seconds"), 100.0);
   // Budget 2, cost 0 -> headroom (2 - 0) / 2 = 1.
   EXPECT_DOUBLE_EQ(metrics.histogram("budget_headroom")->mean(), 1.0);
+}
+
+/// The per-run definitions both exp::evaluate and record_run_metrics use:
+/// which tasks wait and how long, which VMs count as used, pooled
+/// busy/billed utilization and budget headroom.
+TEST(Metrics, DeriveRunMetricsPinsTheDefinitions) {
+  sim::SimResult result;
+  result.cost.vm_time = 1.0;
+  result.vms.resize(4);
+  const auto vm = [&](sim::VmId v, Seconds boot_done, Seconds end, Seconds busy,
+                      std::size_t tasks) {
+    result.vms[v].boot_done = boot_done;
+    result.vms[v].end = end;
+    result.vms[v].busy = busy;
+    result.vms[v].task_count = tasks;
+    result.vms[v].billed = true;
+  };
+  vm(0, 10, 20, 8, 1);
+  vm(1, 0, 6, 3, 1);
+  // Billed but empty (abandoned by a migration): not used.
+  vm(2, 0, 50, 0, 0);
+  // Crashed before running anything: used.
+  vm(3, 5, 9, 0, 0);
+  result.vms[3].crashed = true;
+  result.tasks.resize(4);
+  const auto task = [&](std::size_t t, sim::VmId on, Seconds inputs_at_dc, Seconds start) {
+    result.tasks[t].vm = on;
+    result.tasks[t].inputs_at_dc = inputs_at_dc;
+    result.tasks[t].start = start;
+  };
+  // Waits 12 - max(5, boot 10) = 2; starts before "ready" (clamped to 0);
+  // failed; never placed.  Only the first two have a wait.
+  task(0, 0, 5, 12);
+  task(1, 1, 4, 3);
+  task(2, 0, 0, 0);
+  result.tasks[2].failed = true;
+  task(3, sim::invalid_vm, 0, 0);
+
+  std::vector<Seconds> waits;
+  std::vector<Seconds> used_boot_done;
+  const sim::RunMetrics derived = sim::derive_run_metrics(
+      result, 4.0, [&](Seconds wait) { waits.push_back(wait); },
+      [&](const sim::VmRecord& used) { used_boot_done.push_back(used.boot_done); });
+  EXPECT_EQ(waits, (std::vector<Seconds>{2, 0}));
+  EXPECT_EQ(used_boot_done, (std::vector<Seconds>{10, 0, 5}));
+  // Busy (8 + 3 + 0) over billed (10 + 6 + 4); headroom (4 - 1) / 4.
+  EXPECT_DOUBLE_EQ(derived.utilization, 11.0 / 20.0);
+  EXPECT_DOUBLE_EQ(derived.budget_headroom, 0.75);
+
+  const auto ignore_wait = [](Seconds) {};
+  const auto ignore_vm = [](const sim::VmRecord&) {};
+  EXPECT_EQ(sim::derive_run_metrics(result, 0.0, ignore_wait, ignore_vm).budget_headroom, 0.0);
+  // With no used VM nothing is billed: utilization is 0, not NaN.
+  result.vms.resize(3);
+  result.vms[0].task_count = 0;
+  result.vms[1].task_count = 0;
+  EXPECT_EQ(sim::derive_run_metrics(result, 4.0, ignore_wait, ignore_vm).utilization, 0.0);
 }
 
 }  // namespace
